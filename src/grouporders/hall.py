@@ -7,19 +7,19 @@ layer is a basis of the degree-i homogeneous Lie elements, and the class of
 a depth-i word inside the i-th lower-central quotient is read off by
 decomposing the degree-i part of its series image over the layer.
 
-Bases, bracket words and the exact decomposition operators are cached per
+The decomposition is triangular and integer-only, because the bracket of a
+Lyndon word w expands as w plus lexicographically larger words (Reutenauer,
+*Free Lie Algebras*, Thm 5.1).  Bases and bracket expansions are cached per
 (rank, weight); everything they return is immutable.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from . import exactlin
 from .errors import DepthExceedsCap, LevelExceedsCap
-from .series import Monomial, lcs_depth, magnus
+from .series import Monomial, leading_part
 from .words import Endomorphism, Word, commutator, generator
 
 # A bracket is either a generator index or a pair of brackets.
@@ -55,12 +55,6 @@ def layer_rank(rank: int, weight: int) -> int:
     return len(lyndon_words(rank, weight))
 
 
-def bracket_weight(b: Bracket) -> int:
-    if isinstance(b, int):
-        return 1
-    return bracket_weight(b[0]) + bracket_weight(b[1])
-
-
 def bracket_word(rank: int, b: Bracket) -> Word:
     """The group commutator word spelled by a bracket."""
     if isinstance(b, int):
@@ -83,62 +77,49 @@ def bracket_expansion(b: Bracket) -> dict[Monomial, int]:
     return {m: c for m, c in out.items() if c != 0}
 
 
-def bracket_vector(rank: int, b: Bracket) -> tuple[Fraction, ...]:
-    """Expansion of a bracket as a dense vector over its degree's monomials."""
-    weight = bracket_weight(b)
-    expansion = bracket_expansion(b)
-    return tuple(Fraction(expansion.get(m, 0))
-                 for m in monomials(rank, weight))
-
-
 @lru_cache(maxsize=None)
 def monomials(rank: int, degree: int) -> tuple[Monomial, ...]:
     return tuple(product(range(1, rank + 1), repeat=degree))
 
 
 @lru_cache(maxsize=None)
-def _decomposition_operator(rank: int, weight: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Left inverse of the expansion matrix of the weight layer.
-
-    Applied to the degree-``weight`` coefficients of a series it returns the
-    basis coordinates; the result is only meaningful (and is verified by
-    callers) when those coefficients form a Lie element.
-    """
-    layer = basis_layer(rank, weight)
-    mons = monomials(rank, weight)
-    columns = [bracket_expansion(b) for b in layer]
-    a_rows = [tuple(Fraction(col.get(m, 0)) for col in columns) for m in mons]
-    k = len(layer)
-    aug = [row + tuple(Fraction(1 if i == j else 0) for j in range(len(mons)))
-           for i, row in enumerate(a_rows)]
-    reduced, pivots = exactlin.rref(aug)
-    assert pivots[:k] == tuple(range(k)), "expansion matrix must have full column rank"
-    return tuple(reduced[i][k:] for i in range(k))
+def _lyndon_index(rank: int, weight: int) -> dict[tuple[int, ...], int]:
+    return {w: i for i, w in enumerate(lyndon_words(rank, weight))}
 
 
 def decompose_lie(rank: int, weight: int,
                   part: dict[Monomial, int]) -> tuple[int, ...] | None:
     """Coordinates of a homogeneous degree part over the basis layer.
 
-    Returns None when the part is not a Lie element (the candidate produced
-    by the left inverse is checked against the input exactly).
+    Repeatedly takes the lex-least monomial m left, with coefficient c, and
+    subtracts c times the expansion of the bracket of m.  Returns None, the
+    part not being a Lie element, when some such m is not a Lyndon word.
     """
-    mons = monomials(rank, weight)
-    h = tuple(Fraction(part.get(m, 0)) for m in mons)
-    op = _decomposition_operator(rank, weight)
-    coords = tuple(exactlin.dot(row, h) for row in op)
+    index = _lyndon_index(rank, weight)
     layer = basis_layer(rank, weight)
-    recon: dict[Monomial, Fraction] = {}
-    for c, b in zip(coords, layer):
-        if c == 0:
-            continue
-        for m, x in bracket_expansion(b).items():
-            recon[m] = recon.get(m, Fraction(0)) + c * x
-    for m in mons:
-        if recon.get(m, Fraction(0)) != part.get(m, 0):
+    coords = [0] * len(layer)
+    rest = {m: c for m, c in part.items() if c != 0}
+    while rest:
+        m = min(rest)
+        i = index.get(m)
+        if i is None:
             return None
-    assert all(c.denominator == 1 for c in coords)
-    return tuple(int(c) for c in coords)
+        c = coords[i] = rest[m]
+        for mono, x in bracket_expansion(layer[i]).items():
+            value = rest.get(mono, 0) - c * x
+            if value:
+                rest[mono] = value
+            else:
+                del rest[mono]
+    return tuple(coords)
+
+
+def lie_coords(rank: int, weight: int, part: dict[Monomial, int]) -> tuple[int, ...]:
+    """:func:`decompose_lie` of a group element's leading part, which is Lie."""
+    coords = decompose_lie(rank, weight, part)
+    if coords is None:
+        raise AssertionError("leading part of a group element must be Lie")
+    return coords
 
 
 def coords_at_level(w: Word, level: int) -> tuple[int, ...]:
@@ -146,24 +127,23 @@ def coords_at_level(w: Word, level: int) -> tuple[int, ...]:
 
     Zero vector when the word sits strictly deeper.
     """
-    series = magnus(w, level)
-    depth = series.min_degree()
-    if depth is not None and depth < level:
+    lead = None if w.is_identity() else leading_part(w, level)
+    if lead is None:
+        return tuple(0 for _ in range(layer_rank(w.rank, level)))
+    depth, part = lead
+    if depth < level:
         raise DepthExceedsCap(
             f"word has depth {depth} < requested level {level}")
-    if depth is None:
-        return tuple(0 for _ in range(layer_rank(w.rank, level)))
-    coords = decompose_lie(w.rank, level, series.graded_part(level))
-    assert coords is not None, "leading part of a group element must be Lie"
-    return coords
+    return lie_coords(w.rank, level, part)
 
 
 def leading_coords(w: Word, cap: int) -> tuple[int, tuple[int, ...]]:
     """(depth, basis coordinates at that depth) for a word visible at cap."""
-    depth = lcs_depth(w, cap)
-    if depth is None:
+    lead = leading_part(w, cap)
+    if lead is None:
         raise DepthExceedsCap(f"word is trivial in every quotient up to class {cap}")
-    return depth, coords_at_level(w, depth)
+    depth, part = lead
+    return depth, lie_coords(w.rank, depth, part)
 
 
 def induced_matrix(phi: Endomorphism, level: int, cap: int | None = None) -> tuple[tuple[int, ...], ...]:

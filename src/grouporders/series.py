@@ -53,13 +53,6 @@ class TruncatedSeries:
                 out[m] = out.get(m, 0) + c1 * c2
         return TruncatedSeries(self.rank, self.cap, out)
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        assert self.rank == other.rank and self.cap == other.cap
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return TruncatedSeries(self.rank, self.cap, out)
-
     def is_one(self) -> bool:
         return self.coeffs == {(): 1}
 
@@ -133,6 +126,27 @@ def lcs_depth(w: Word, cap: int) -> int | None:
     enough (residual nilpotence of free groups), so None always means "not
     visible at this cap", never "trivial".
     """
+    lead = leading_part(w, cap)
+    return None if lead is None else lead[0]
+
+
+def leading_part(w: Word, cap: int) -> tuple[int, dict[Monomial, int]] | None:
+    """(depth, degree-depth part of mu(w)); None when deeper than cap.
+
+    The degree-1 part is the vector of exponent sums, so a word with a
+    nonzero exponent sum needs no series.  Any other word is expanded once,
+    up to cap, and both answers are read from that one series.
+    """
     if w.is_identity():
         raise EmptyWord("depth is undefined for the identity")
-    return magnus(w, cap).min_degree()
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    sums = [0] * (w.rank + 1)
+    for letter in w.letters:
+        sums[abs(letter)] += 1 if letter > 0 else -1
+    linear = {(i,): c for i, c in enumerate(sums) if c != 0}
+    if linear:
+        return 1, linear
+    series = magnus(w, cap)
+    depth = series.min_degree()
+    return None if depth is None else (depth, series.graded_part(depth))

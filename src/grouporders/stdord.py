@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
@@ -41,8 +42,8 @@ from . import exactlin, hall
 from .errors import (CommonRoot, DepthCapExceeded, DepthExceedsCap, DimensionMismatch,
                      EmptyWord)
 from .exactlin import Vector, dot, strict_separator, vector
-from .hall import coords_at_level, layer_rank, leading_coords, monomials
-from .series import Monomial, lcs_depth, magnus
+from .hall import layer_rank, leading_coords, lie_coords, monomials
+from .series import Monomial, leading_part, magnus
 from .words import Word, ball_words, generator, identity_word
 from .znord import FlagOrdering, flag_sign
 
@@ -95,7 +96,9 @@ class StandardOrdering:
                    tuple(FlagOrdering.from_json(f) for f in data["levels"]))
 
 
+@lru_cache(maxsize=None)
 def identity_levels(rank: int, cap: int) -> tuple[FlagOrdering, ...]:
+    """Identity flags on levels 1..cap; cached, since flags are immutable."""
     return tuple(FlagOrdering.identity(layer_rank(rank, i))
                  for i in range(1, cap + 1))
 
@@ -156,12 +159,10 @@ class TwistedOrdering:
             raise DepthExceedsCap(f"word not visible at class cap {self.cap}")
         d = self.pivot_level
         if depth < d:
-            coords = hall.decompose_lie(self.rank, depth, series.graded_part(depth))
-            assert coords is not None
+            coords = lie_coords(self.rank, depth, series.graded_part(depth))
             return flag_sign(self.levels[depth - 1], coords)
         if depth == d:
-            coords = hall.decompose_lie(self.rank, d, series.graded_part(d))
-            assert coords is not None
+            coords = lie_coords(self.rank, d, series.graded_part(d))
         else:
             coords = tuple(0 for _ in range(layer_rank(self.rank, d)))
         for row in self._annihilator:
@@ -176,8 +177,7 @@ class TwistedOrdering:
             return 1 if s > 0 else -1
         # remaining words sit strictly below the pivot level: plain level scan
         assert depth > d
-        coords = hall.decompose_lie(self.rank, depth, series.graded_part(depth))
-        assert coords is not None
+        coords = lie_coords(self.rank, depth, series.graded_part(depth))
         return flag_sign(self.levels[depth - 1], coords)
 
     def to_json(self) -> dict:
@@ -517,12 +517,11 @@ def separate(g: Word, k: Word, cap: int = 5, power_bound: int = 64) -> Ordering:
             f"both words are positive powers of {root_g.root}",
             root=root_g.root,
             powers=(m // root_g.exponent, m // root_k.exponent))
-    dg = lcs_depth(g, cap)
-    dk = lcs_depth(k, cap)
-    if dg is None or dk is None:
-        raise DepthCapExceeded(f"word deeper than class cap {cap}")
-    ug = coords_at_level(g, dg)
-    uk = coords_at_level(k, dk)
+    try:
+        dg, ug = leading_coords(g, cap)
+        dk, uk = leading_coords(k, cap)
+    except DepthExceedsCap:
+        raise DepthCapExceeded(f"word deeper than class cap {cap}") from None
     levels = list(identity_levels(rank, cap))
     if dg != dk:
         levels[dg - 1] = _flag_from_first_row(vector(ug), len(ug))
@@ -543,17 +542,17 @@ def separate(g: Word, k: Word, cap: int = 5, power_bound: int = 64) -> Ordering:
             big_k = k ** b
             w = big_g * big_k.inverse()
             assert not w.is_identity()
-            j = lcs_depth(w, cap)
-            if j is None:
+            lead = leading_part(w, cap)
+            if lead is None:
                 raise DepthCapExceeded(
                     f"difference of matched powers is deeper than cap {cap}")
+            j, z_part = lead
             u0 = exactlin.scale_to_integers(vector(ug))
-            series_g = magnus(big_g, cap)
-            scale = next(Fraction(c, u) for c, u in zip(coords_at_level(big_g, dg), u0) if u)
+            # g^a has leading coordinates a * ug at depth dg
+            scale = next(Fraction(a * c, u) for c, u in zip(ug, u0) if u)
             ordering = build_twisted(
-                rank, cap, dg, u0, j,
-                z_part=magnus(w, cap).graded_part(j),
-                mu_j_pivot=series_g.graded_part(j),
+                rank, cap, dg, u0, j, z_part=z_part,
+                mu_j_pivot=magnus(big_g, cap).graded_part(j),
                 sigma=scale)
     assert ordering.sign(g) == 1 and ordering.sign(k) == -1
     return ordering

@@ -23,13 +23,15 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Word:
     rank: int
     letters: tuple[int, ...]
 
     def __post_init__(self):
-        letters = tuple(int(x) for x in self.letters)
+        letters = tuple(self.letters)  # shares the caller's tuple when it is one
+        if not all(type(x) is int for x in letters):
+            letters = tuple(int(x) for x in letters)
         if any(x == 0 or abs(x) > self.rank for x in letters):
             raise ParseError(f"letters must lie in 1..{self.rank} up to sign")
         if _reduce(letters) != letters:

@@ -1,14 +1,15 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grouporders.errors import DepthExceedsCap
 from grouporders.hall import (basis_layer, bracket_expansion, bracket_word,
-                              coords_at_level, identity_matrix, induced_matrix,
-                              layer_rank, leading_coords, lyndon_words)
-from grouporders.series import lcs_depth
+                              coords_at_level, decompose_lie, identity_matrix,
+                              induced_matrix, layer_rank, leading_coords, lyndon_words,
+                              monomials)
+from grouporders.series import lcs_depth, magnus
 from grouporders.words import (Endomorphism, commutator, generator, parse_endomorphism,
                                parse_word, word)
 
@@ -130,3 +131,60 @@ def test_induced_matrix_functorial():
 def test_lyndon_words_are_cached_and_ordered():
     assert lyndon_words(2, 3) == ((1, 1, 2), (1, 2, 2))
     assert lyndon_words(2, 3) is lyndon_words(2, 3)
+
+
+# (rank, largest weight) places for the decomposition properties
+PLACES = [(2, 5), (3, 5), (4, 4)]
+
+
+@st.composite
+def leading_parts(draw):
+    """(rank, depth, degree-depth part of the series) of a random reduced word."""
+    rank, cap = draw(st.sampled_from(PLACES))
+    letters = st.integers(-rank, rank).filter(lambda x: x != 0)
+    words = [word(rank, draw(st.lists(letters, min_size=1, max_size=3))) for _ in range(4)]
+    w = words[0]
+    for v in words[1:1 + draw(st.integers(0, 3))]:
+        w = commutator(w, v)
+    if draw(st.booleans()):
+        w = w * commutator(words[1], words[2])
+    assume(not w.is_identity())
+    series = magnus(w, cap)
+    depth = series.min_degree()
+    assume(depth is not None)
+    return rank, depth, series.graded_part(depth)
+
+
+@settings(max_examples=150, deadline=None)
+@given(leading_parts())
+def test_decompose_lie_reconstructs_leading_part(case):
+    rank, depth, part = case
+    coords = decompose_lie(rank, depth, part)
+    assert coords is not None
+    recon: dict = {}
+    for c, b in zip(coords, basis_layer(rank, depth)):
+        for m, x in bracket_expansion(b).items():
+            recon[m] = recon.get(m, 0) + c * x
+    assert {m: c for m, c in recon.items() if c != 0} == part
+
+
+@settings(max_examples=150, deadline=None)
+@given(leading_parts(), st.data())
+def test_decompose_lie_rejects_one_monomial_off(case, data):
+    rank, depth, part = case
+    # a single monomial of degree >= 2 is never Lie: its coefficients do not sum to 0
+    assume(depth >= 2)
+    m = data.draw(st.sampled_from(monomials(rank, depth)))
+    off = dict(part)
+    off[m] = off.get(m, 0) + data.draw(st.sampled_from([1, -1]))
+    assert decompose_lie(rank, depth, off) is None
+
+
+def test_bracket_words_decompose_to_unit_vectors():
+    for rank, top in PLACES:
+        for weight in range(1, top + 1):
+            layer = basis_layer(rank, weight)
+            for i, b in enumerate(layer):
+                part = magnus(bracket_word(rank, b), weight).graded_part(weight)
+                assert decompose_lie(rank, weight, part) == \
+                    tuple(1 if j == i else 0 for j in range(len(layer)))

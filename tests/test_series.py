@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouporders.errors import EmptyWord
-from grouporders.series import TruncatedSeries, lcs_depth, magnus, one
+from grouporders.series import TruncatedSeries, lcs_depth, leading_part, magnus, one
 from grouporders.words import commutator, generator, identity_word, parse_word, word
 
 
@@ -57,6 +57,37 @@ def test_depth_examples():
 def test_depth_rejects_identity():
     with pytest.raises(EmptyWord):
         lcs_depth(identity_word(2), 5)
+
+
+def test_depth_rejects_cap_below_one_on_every_path():
+    with pytest.raises(ValueError):
+        lcs_depth(generator(2, 1), 0)  # nonzero exponent sum: no series built
+    with pytest.raises(ValueError):
+        lcs_depth(commutator(generator(2, 1), generator(2, 2)), 0)
+    with pytest.raises(EmptyWord):
+        leading_part(identity_word(2), 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_leading_part_agrees_with_full_series(data):
+    rank = data.draw(st.sampled_from([2, 3]))
+    cap = data.draw(st.integers(1, 7 if rank == 2 else 5))
+    rank_letters = st.integers(-rank, rank).filter(lambda x: x != 0)
+    u, v, x = (word(rank, data.draw(st.lists(rank_letters, max_size=5))) for _ in range(3))
+    # commutators and their products have zero exponent sums
+    w = data.draw(st.sampled_from([u, u * v, commutator(u, v),
+                                   commutator(u, v) * commutator(v, x),
+                                   commutator(commutator(u, v), x)]))
+    if w.is_identity():
+        with pytest.raises(EmptyWord):
+            leading_part(w, cap)
+        return
+    series = magnus(w, cap)
+    depth = series.min_degree()
+    expected = None if depth is None else (depth, series.graded_part(depth))
+    assert leading_part(w, cap) == expected
+    assert lcs_depth(w, cap) == depth
 
 
 def test_injectivity_on_small_ball():
