@@ -46,14 +46,18 @@ def _parse_vector(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split())
 
 
+def _read_maybe_file(spec: str) -> str:
+    if spec.lstrip().startswith("{"):
+        return spec
+    with open(spec, encoding="utf-8") as handle:
+        return handle.read()
+
+
 def _load_ordering(args) -> object:
     spec = getattr(args, "ordering", None) or "lex"
     if spec == "lex":
         return identity_ordering(args.rank, args.cap)
-    if spec.lstrip().startswith("{"):
-        return ordering_from_json(spec)
-    with open(spec, encoding="utf-8") as handle:
-        return ordering_from_json(handle.read())
+    return ordering_from_json(_read_maybe_file(spec))
 
 
 def _emit(args, payload: dict, human: str) -> None:
@@ -232,13 +236,6 @@ def _run_free(args) -> int:
         value = ball_distance(o1, o2, args.radius)
         _emit(args, {"agreement_radius": value}, str(value))
     return 0
-
-
-def _read_maybe_file(spec: str) -> str:
-    if spec.lstrip().startswith("{"):
-        return spec
-    with open(spec, encoding="utf-8") as handle:
-        return handle.read()
 
 
 def _run_aut(args) -> int:

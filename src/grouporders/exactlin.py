@@ -45,14 +45,6 @@ def matrix(rows: Iterable[Iterable]) -> Matrix:
     return rows
 
 
-def format_rational(x: Fraction) -> str:
-    return str(x)
-
-
-def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 def dot(u: Sequence, v: Sequence) -> Fraction:
     if len(u) != len(v):
         raise DimensionMismatch(f"dot of lengths {len(u)} and {len(v)}")
@@ -161,11 +153,6 @@ class Halfspace:
     """Functional with ``functional . v > 0`` for every classified vector."""
 
     functional: Vector
-
-    def holds_for(self, vectors: Sequence[Vector]) -> bool:
-        if is_zero_vector(self.functional):
-            return False
-        return all(dot(self.functional, v) >= 0 for v in vectors)
 
     def strict_for(self, vectors: Sequence[Vector]) -> bool:
         return all(dot(self.functional, v) > 0 for v in vectors)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import IdentityElement, InputError, NonAutomorphism, ParseError
 
@@ -31,12 +30,10 @@ class KleinElement:
         return KleinElement(-self.a, -sign * self.b)
 
     def __pow__(self, n: int) -> "KleinElement":
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = KleinElement(0, 0)
-        for _ in range(n):
-            result = result * self
-        return result
+        # for odd a the y-parts of consecutive factors cancel in pairs
+        if self.a % 2 == 0:
+            return KleinElement(n * self.a, n * self.b)
+        return KleinElement(n * self.a, self.b if n % 2 else 0)
 
     def is_identity(self) -> bool:
         return self.a == 0 and self.b == 0
@@ -149,28 +146,20 @@ class KleinAut:
         lhs = self.image_x.inverse() * self.image_y * self.image_x
         if lhs != self.image_y.inverse():
             raise NonAutomorphism("images do not satisfy the defining relation")
-        if self._find_inverse() is None:
-            raise NonAutomorphism("no inverse found by bounded search")
+        # the automorphisms are exactly x -> x^eps y^m, y -> y^delta
+        if abs(self.image_x.a) != 1 or self.image_y.a != 0 or abs(self.image_y.b) != 1:
+            raise NonAutomorphism("images do not generate the group")
 
     def apply(self, p: KleinElement) -> KleinElement:
         return self.image_x ** p.a * self.image_y ** p.b
 
-    def _find_inverse(self, bound: int = 8) -> "KleinAut | None":
-        bound = max(bound, abs(self.image_x.b) + 1)
-        x, y = KleinElement(1, 0), KleinElement(0, 1)
-        for ex, m, dy in product((1, -1), range(-bound, bound + 1), (1, -1)):
-            cx, cy = KleinElement(ex, m), KleinElement(0, dy)
-            if (self.apply(cx) == x and self.apply(cy) == y):
-                inv = object.__new__(KleinAut)
-                object.__setattr__(inv, "image_x", cx)
-                object.__setattr__(inv, "image_y", cy)
-                return inv
-        return None
-
     def inverse(self) -> "KleinAut":
-        inv = self._find_inverse()
-        assert inv is not None
-        return KleinAut(inv.image_x, inv.image_y)
+        """x -> x^eps y^(-delta m), y -> y^delta, checked by composing both ways."""
+        delta = self.image_y.b
+        inv = KleinAut(KleinElement(self.image_x.a, -delta * self.image_x.b), self.image_y)
+        if not (self.compose(inv).is_identity() and inv.compose(self).is_identity()):
+            raise AssertionError(f"constructed inverse of {self} does not invert it")
+        return inv
 
     def compose(self, other: "KleinAut") -> "KleinAut":
         return KleinAut(self.apply(other.image_x), self.apply(other.image_y))

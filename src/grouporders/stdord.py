@@ -45,7 +45,7 @@ from .exactlin import Vector, dot, strict_separator, vector
 from .hall import layer_rank, leading_coords, lie_coords, monomials
 from .series import Monomial, leading_part, magnus
 from .words import Word, ball_words, generator, identity_word
-from .znord import FlagOrdering, flag_sign
+from .znord import FlagOrdering, complete_flag, flag_sign, positive_ratio
 
 
 def _check_levels(rank: int, cap: int, levels: Sequence[FlagOrdering]):
@@ -357,34 +357,6 @@ def ball_distance(o1: Ordering, o2: Ordering, r_max: int) -> int:
 # separation
 
 
-def _flag_from_first_row(first_row: Vector, dim: int) -> FlagOrdering:
-    rows = [vector(first_row)]
-    for i in range(dim):
-        candidate = tuple(Fraction(1 if j == i else 0) for j in range(dim))
-        if exactlin.rank(rows + [candidate]) > exactlin.rank(rows):
-            rows.append(candidate)
-        if len(rows) == dim:
-            break
-    return FlagOrdering(tuple(rows))
-
-
-def _positive_ratio(u: Sequence[int], v: Sequence[int]) -> Fraction | None:
-    """lambda > 0 with v = lambda * u, or None."""
-    ratio = None
-    for a, b in zip(u, v):
-        if (a == 0) != (b == 0):
-            return None
-        if a != 0:
-            r = Fraction(b, a)
-            if r <= 0:
-                return None
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return None
-    return ratio
-
-
 def _word_with_coords(rank: int, level: int, coords: Sequence[int]) -> Word:
     w = identity_word(rank)
     for b, c in zip(hall.basis_layer(rank, level), coords):
@@ -524,14 +496,14 @@ def separate(g: Word, k: Word, cap: int = 5, power_bound: int = 64) -> Ordering:
         raise DepthCapExceeded(f"word deeper than class cap {cap}") from None
     levels = list(identity_levels(rank, cap))
     if dg != dk:
-        levels[dg - 1] = _flag_from_first_row(vector(ug), len(ug))
-        levels[dk - 1] = _flag_from_first_row(vector(tuple(-x for x in uk)), len(uk))
+        levels[dg - 1] = complete_flag(ug)
+        levels[dk - 1] = complete_flag(tuple(-x for x in uk))
         ordering: Ordering = StandardOrdering(rank, cap, tuple(levels))
     else:
-        ratio = _positive_ratio(ug, uk)
+        ratio = positive_ratio(ug, uk)
         if ratio is None:
             f = strict_separator([ug], [uk])
-            levels[dg - 1] = _flag_from_first_row(f, len(ug))
+            levels[dg - 1] = complete_flag(f)
             ordering = StandardOrdering(rank, cap, tuple(levels))
         else:
             a, b = ratio.numerator, ratio.denominator

@@ -17,7 +17,7 @@ from itertools import product
 
 from . import exactlin
 from .errors import DimensionMismatch, IsIdentity, NoCone
-from .exactlin import Matrix, Vector, classify_cone, mat_vec, matrix, vector
+from .exactlin import Matrix, classify_cone, mat_vec, matrix, vector
 
 
 @dataclass(frozen=True)
@@ -168,15 +168,21 @@ def _ball_vectors(n: int, radius: int):
                 yield v
 
 
-def _complete_flag(first_rows: list[Vector], n: int) -> FlagOrdering:
-    rows = list(first_rows)
-    for i in range(n):
-        candidate = tuple(Fraction(1 if j == i else 0) for j in range(n))
-        if exactlin.rank(rows + [candidate]) > exactlin.rank(rows):
-            rows.append(candidate)
-        if len(rows) == n:
-            break
-    return FlagOrdering(tuple(rows))
+def complete_flag(first_row) -> FlagOrdering:
+    """The flag with ``first_row`` outermost, completed by standard basis rows.
+
+    The basis rows follow in index order, leaving out the one at the first
+    row's last nonzero index: that is the only basis row already in the span
+    of the first row and the basis rows before it.
+    """
+    first = vector(first_row)
+    skip = max((i for i, x in enumerate(first) if x != 0), default=None)
+    if skip is None:
+        raise DimensionMismatch("the first row of a flag must be nonzero")
+    n = len(first)
+    basis = (tuple(Fraction(1 if j == i else 0) for j in range(n))
+             for i in range(n) if i != skip)
+    return FlagOrdering((first, *basis))
 
 
 def realize_flag(positives, dimension: int | None = None) -> FlagOrdering:
@@ -195,8 +201,7 @@ def realize_flag(positives, dimension: int | None = None) -> FlagOrdering:
     cert = classify_cone(positives)
     if isinstance(cert, exactlin.ZeroCombo):
         raise NoCone("inputs admit a vanishing nonnegative combination", cert)
-    n = len(positives[0])
-    flag = _complete_flag([cert.functional], n)
+    flag = complete_flag(cert.functional)
     assert all(flag_sign(flag, v) == 1 for v in positives)
     return flag
 
@@ -218,7 +223,7 @@ def gl_witness(a: IntegerAutomorphism) -> tuple[FlagOrdering, tuple[int, ...]]:
     for v in _ball_vectors(n, 2):
         image = a.apply(v)
         # skip v with A.v a positive multiple of v: no cone separates those
-        if _is_positive_multiple(image, v):
+        if positive_ratio(v, image) is not None:
             continue
         flag = realize_flag([v, tuple(-x for x in image)])
         assert flag_sign(flag, v) == 1 and flag_sign(flag, image) == -1
@@ -226,17 +231,18 @@ def gl_witness(a: IntegerAutomorphism) -> tuple[FlagOrdering, tuple[int, ...]]:
     raise AssertionError("unreachable: every non-identity matrix has a radius-1 witness")
 
 
-def _is_positive_multiple(u, v) -> bool:
+def positive_ratio(u, v) -> Fraction | None:
+    """lambda > 0 with v = lambda * u, or None."""
     ratio = None
-    for y, x in zip(u, v):
-        if (x == 0) != (y == 0):
-            return False
-        if x != 0:
-            r = Fraction(y, x)
+    for a, b in zip(u, v):
+        if (a == 0) != (b == 0):
+            return None
+        if a != 0:
+            r = Fraction(b, a)
             if r <= 0:
-                return False
+                return None
             if ratio is None:
                 ratio = r
             elif r != ratio:
-                return False
-    return ratio is not None
+                return None
+    return ratio

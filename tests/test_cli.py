@@ -110,6 +110,11 @@ def test_klein_commands(capsys):
     assert "faithful = False" in out
 
 
+def test_klein_mul_large_exponent(capsys):
+    code, out, _ = run(capsys, "klein", "mul", "y x^1000000001", "y^2")
+    assert code == 0 and out.strip() == "x^1000000001 y"
+
+
 def test_report_single_criterion(capsys):
     code, out, _ = run(capsys, "report", "--only", "10", "--json")
     assert code == 0

@@ -130,3 +130,51 @@ def test_exhaustive_ball_survey_finds_exactly_four():
     locally_consistent, extendable = survey_ball_orderings(3, 5)
     assert extendable == 4
     assert locally_consistent >= 4
+
+
+def _repeated_power(p, n):
+    base = p if n >= 0 else p.inverse()
+    result = KleinElement(0, 0)
+    for _ in range(abs(n)):
+        result = result * base
+    return result
+
+
+@settings(max_examples=100, deadline=None)
+@given(elements)
+def test_power_matches_repeated_multiplication(p):
+    for n in range(-20, 21):
+        assert p ** n == _repeated_power(p, n)
+
+
+def _searched_inverse(image_x, image_y, bound=8):
+    """Reference: search x -> x^ex y^m, y -> y^dy for a right inverse."""
+    def apply(p):
+        return _repeated_power(image_x, p.a) * _repeated_power(image_y, p.b)
+    bound = max(bound, abs(image_x.b) + 1)
+    for ex in (1, -1):
+        for m in range(-bound, bound + 1):
+            for dy in (1, -1):
+                cx, cy = KleinElement(ex, m), KleinElement(0, dy)
+                if apply(cx) == X and apply(cy) == Y:
+                    return cx, cy
+    return None
+
+
+def test_automorphisms_match_brute_force_inverse_search():
+    ball = [KleinElement(a, b) for a in range(-4, 5) for b in range(-4, 5)]
+    accepted = 0
+    for image_x in ball:
+        for image_y in ball:
+            relation = image_x.inverse() * image_y * image_x == image_y.inverse()
+            expected = _searched_inverse(image_x, image_y) if relation else None
+            try:
+                phi = KleinAut(image_x, image_y)
+            except NonAutomorphism:
+                assert expected is None, (image_x, image_y)
+                continue
+            assert expected is not None, (image_x, image_y)
+            inv = phi.inverse()
+            assert (inv.image_x, inv.image_y) == expected
+            accepted += 1
+    assert accepted == 2 * 9 * 2

@@ -1,10 +1,14 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouporders.errors import IsIdentity, NoCone
-from grouporders.znord import (FlagOrdering, IntegerAutomorphism, act, flag_sign,
-                               gl_witness, opposite, realize_flag)
+from grouporders import exactlin
+from grouporders.errors import DimensionMismatch, IsIdentity, NoCone
+from grouporders.znord import (FlagOrdering, IntegerAutomorphism, act, complete_flag,
+                               flag_sign, gl_witness, opposite, positive_ratio,
+                               realize_flag)
 
 I2 = FlagOrdering.identity(2)
 
@@ -129,3 +133,52 @@ def test_flag_json_round_trip():
     f = FlagOrdering([["1/2", 1], [0, "-3"]])
     again = FlagOrdering.from_json(f.to_json())
     assert again.rows == f.rows
+
+
+def _greedy_flag_rows(first_row):
+    """Reference completion: append each standard basis row that raises the rank."""
+    n = len(first_row)
+    rows = [exactlin.vector(first_row)]
+    for i in range(n):
+        candidate = tuple(Fraction(1 if j == i else 0) for j in range(n))
+        if exactlin.rank(rows + [candidate]) > exactlin.rank(rows):
+            rows.append(candidate)
+        if len(rows) == n:
+            break
+    return tuple(rows)
+
+
+rational_entries = st.one_of(st.just(Fraction(0)),
+                             st.fractions(-5, 5, max_denominator=7))
+rational_rows = st.integers(1, 6).flatmap(
+    lambda n: st.lists(rational_entries, min_size=n, max_size=n)).filter(any)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rational_rows)
+def test_complete_flag_matches_greedy_rank_scan(row):
+    assert complete_flag(row).rows == _greedy_flag_rows(row)
+
+
+def test_complete_flag_rejects_zero_row():
+    with pytest.raises(DimensionMismatch):
+        complete_flag((0, 0, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_positive_ratio_exactly_for_positive_multiples(data):
+    n = data.draw(st.integers(1, 5))
+    entries = st.lists(st.integers(-4, 4), min_size=n, max_size=n)
+    u = data.draw(entries.filter(any))
+    scale = data.draw(st.fractions(-3, 3, max_denominator=4))
+    v = data.draw(st.one_of(st.just(tuple(scale * a for a in u)), entries))
+    lead = next(i for i, a in enumerate(u) if a)
+    candidate = Fraction(v[lead], u[lead])
+    is_multiple = candidate > 0 and all(candidate * a == b for a, b in zip(u, v))
+    ratio = positive_ratio(u, v)
+    if ratio is None:
+        assert not is_multiple
+    else:
+        assert ratio > 0
+        assert all(ratio * a == b for a, b in zip(u, v))
