@@ -22,9 +22,9 @@ for a strict functional only when none exists.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, EmptyInput, NoSeparator, ZeroVectorInput
@@ -51,10 +51,6 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def mat_vec(m: Matrix, v: Sequence) -> Vector:
-    return tuple(dot(row, v) for row in m)
-
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     bt = tuple(zip(*b))
     return tuple(tuple(dot(row, col) for col in bt) for row in a)
@@ -64,18 +60,16 @@ def is_zero_vector(v: Sequence) -> bool:
     return all(x == 0 for x in v)
 
 
+def clear_denominators(v: Vector) -> tuple[int, ...]:
+    """``v`` times the lcm of its denominators: a positive integer multiple."""
+    lcm = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (lcm // x.denominator) for x in v)
+
+
 def scale_to_integers(v: Sequence[Fraction]) -> tuple[int, ...]:
     """Smallest positive multiple of ``v`` with integer entries and gcd 1."""
-    v = vector(v)
-    if is_zero_vector(v):
-        return tuple(0 for _ in v)
-    lcm = 1
-    for x in v:
-        lcm = lcm * x.denominator // gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in v]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
+    ints = clear_denominators(vector(v))
+    g = math.gcd(*ints) or 1  # 0 only for the zero vector
     return tuple(x // g for x in ints)
 
 

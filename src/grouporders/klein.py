@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import IdentityElement, InputError, NonAutomorphism, ParseError
 
@@ -86,7 +87,7 @@ class KleinOrdering:
     def __post_init__(self):
         if self.eps not in (1, -1) or self.delta not in (1, -1):
             raise InputError("eps and delta must be +-1")
-        assert _cone_axioms_hold(self, 3)
+        _verify_cone(self)
 
     def sign(self, p: KleinElement) -> int:
         if p.is_identity():
@@ -123,6 +124,13 @@ def _cone_axioms_hold(ordering: KleinOrdering, radius: int) -> bool:
             if r.is_identity() or ordering.sign(r) != 1:
                 return False
     return True
+
+
+@lru_cache(maxsize=None)
+def _verify_cone(ordering: KleinOrdering) -> None:
+    """The radius-3 cone-axiom check, once per (eps, delta) per process."""
+    if not _cone_axioms_hold(ordering, 3):
+        raise AssertionError(f"cone {ordering} fails the axioms on the radius-3 ball")
 
 
 def k_sign(ordering: KleinOrdering, p: KleinElement) -> int:
@@ -222,24 +230,22 @@ def k_pull(phi: KleinAut, ordering: KleinOrdering) -> KleinOrdering:
     return pulled
 
 
-def is_inner(phi: KleinAut, bound: int = 8) -> KleinElement | None:
-    """A conjugator within the bound, or None.
+def is_inner(phi: KleinAut) -> KleinElement | None:
+    """A conjugator c with phi = conjugation by c, or None when phi is outer.
 
-    Inner maps act trivially on the Z x Z/2 abelianization, so a nontrivial
-    abelianization action certifies non-innerness exactly; the search bound
-    only matters for maps trivial on the abelianization.
+    Conjugation by x^a y^b sends x -> x y^(-2 b (-1)^a) and y -> y^((-1)^a),
+    so x -> x^e y^m, y -> y^d is inner exactly when e = 1 and m is even; the
+    conjugator is then x^a y^(-d m / 2) with (-1)^a = d, unique up to the
+    centre <x^2>.
     """
-    x, y = KleinElement(1, 0), KleinElement(0, 1)
-    if abelianized(phi.apply(x)) != abelianized(x) or \
-            abelianized(phi.apply(y)) != abelianized(y):
+    e, m = phi.image_x.a, phi.image_x.b
+    d = phi.image_y.b
+    if e != 1 or m % 2:
         return None
-    for a in range(-bound, bound + 1):
-        for b in range(-bound, bound + 1):
-            c = KleinElement(a, b)
-            if c * x * c.inverse() == phi.apply(x) and \
-                    c * y * c.inverse() == phi.apply(y):
-                return c
-    return None
+    c = KleinElement(0 if d == 1 else 1, -d * m // 2)
+    if inner_by(c) != phi:
+        raise AssertionError(f"conjugation by {c} does not give {phi}")
+    return c
 
 
 @dataclass

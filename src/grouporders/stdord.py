@@ -289,17 +289,22 @@ def verify_cone_axioms(ordering: Ordering, radius: int) -> AxiomReport:
     are counted as skipped.
     """
     rank = ordering.rank
-    signs: dict[tuple[int, ...], int] = {}
-    report = AxiomReport(radius=radius, words_checked=0)
+    # one sign per distinct word (products and conjugates repeat); None: too deep
+    signs: dict[tuple[int, ...], int | None] = {}
+
+    def sign_of(w: Word) -> int | None:
+        if w.letters not in signs:
+            try:
+                signs[w.letters] = ordering.sign(w)
+            except DepthExceedsCap:
+                signs[w.letters] = None
+        return signs[w.letters]
+
     words = list(ball_words(rank, radius))
-    report.words_checked = len(words)
+    report = AxiomReport(radius=radius, words_checked=len(words))
+    report.skipped_words = sum(sign_of(w) is None for w in words)
     for w in words:
-        try:
-            signs[w.letters] = ordering.sign(w)
-        except DepthExceedsCap:
-            report.skipped_words += 1
-    for w in words:
-        s = signs.get(w.letters)
+        s = signs[w.letters]
         if s is None:
             continue
         if s not in (1, -1):
@@ -309,7 +314,7 @@ def verify_cone_axioms(ordering: Ordering, radius: int) -> AxiomReport:
         if s_inv is not None and s_inv != -s:
             report.antisymmetry_ok = False
             report.counterexample = report.counterexample or ("antisymmetry", str(w))
-    positives = [w for w in words if signs.get(w.letters) == 1]
+    positives = [w for w in words if signs[w.letters] == 1]
     for u in positives:
         for v in positives:
             p = u * v
@@ -317,26 +322,24 @@ def verify_cone_axioms(ordering: Ordering, radius: int) -> AxiomReport:
                 report.closure_ok = False
                 report.counterexample = report.counterexample or ("closure", str(u), str(v))
                 continue
-            try:
-                if ordering.sign(p) != 1:
-                    report.closure_ok = False
-                    report.counterexample = report.counterexample or \
-                        ("closure", str(u), str(v))
-            except DepthExceedsCap:
+            s = sign_of(p)
+            if s is None:
                 report.skipped_pairs += 1
+            elif s != 1:
+                report.closure_ok = False
+                report.counterexample = report.counterexample or ("closure", str(u), str(v))
     for w in words:
-        s = signs.get(w.letters)
+        s = signs[w.letters]
         if s is None:
             continue
         for i in range(1, rank + 1):
-            conj = w.conjugate_by(generator(rank, i))
-            try:
-                if ordering.sign(conj) != s:
-                    report.conjugation_ok = False
-                    report.counterexample = report.counterexample or \
-                        ("conjugation", str(w), f"x{i}")
-            except DepthExceedsCap:
+            s_conj = sign_of(w.conjugate_by(generator(rank, i)))
+            if s_conj is None:
                 report.skipped_pairs += 1
+            elif s_conj != s:
+                report.conjugation_ok = False
+                report.counterexample = report.counterexample or \
+                    ("conjugation", str(w), f"x{i}")
     return report
 
 

@@ -11,13 +11,14 @@ can be realized with a rational flag.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 from . import exactlin
 from .errors import DimensionMismatch, IsIdentity, NoCone
-from .exactlin import Matrix, classify_cone, mat_vec, matrix, vector
+from .exactlin import Matrix, classify_cone, clear_denominators, matrix, vector
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,8 @@ class FlagOrdering:
     """Full-rank n x n rational matrix, outermost functional first."""
 
     rows: Matrix
+    # each row times a positive integer: the same signs, integer arithmetic
+    _int_rows: tuple[tuple[int, ...], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows = matrix(self.rows)
@@ -34,6 +37,7 @@ class FlagOrdering:
             raise DimensionMismatch("flag matrix must be square and nonempty")
         if exactlin.rank(rows) != n:
             raise DimensionMismatch("flag matrix must have full rank")
+        object.__setattr__(self, "_int_rows", tuple(clear_denominators(r) for r in rows))
 
     @property
     def dimension(self) -> int:
@@ -136,15 +140,16 @@ def _int_det(rows) -> Fraction:
 
 def flag_sign(f: FlagOrdering, v) -> int:
     """-1, 0 or +1; zero only for the zero vector."""
-    v = vector(v)
+    v = tuple(v)
+    if not all(type(x) is int for x in v):
+        v = clear_denominators(vector(v))
     if len(v) != f.dimension:
         raise DimensionMismatch(
             f"vector of dimension {len(v)} under a flag of dimension {f.dimension}")
-    for value in mat_vec(f.rows, v):
-        if value > 0:
-            return 1
-        if value < 0:
-            return -1
+    for row in f._int_rows:
+        value = sum(map(mul, row, v))
+        if value:
+            return 1 if value > 0 else -1
     return 0
 
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouporders.errors import EmptyInput, NoSeparator, ZeroVectorInput
-from grouporders.exactlin import (Halfspace, ZeroCombo, classify_cone, dot,
-                                  kernel_basis, matrix, rank, solve_linear,
-                                  strict_separator, vector)
+from grouporders.exactlin import (Halfspace, ZeroCombo, classify_cone, clear_denominators,
+                                  dot, kernel_basis, matrix, rank, scale_to_integers,
+                                  solve_linear, strict_separator, vector)
 
 
 def test_kernel_of_identity_is_empty():
@@ -118,3 +119,26 @@ def test_separator_output_verified(pos, neg):
 def test_solve_linear():
     assert solve_linear([[2, 0], [0, 4]], [1, 1]) == (Fraction(1, 2), Fraction(1, 4))
     assert solve_linear([[1, 1], [1, 1]], [0, 1]) is None
+
+
+def _primitive_multiple(v):
+    """Reference: search the smallest positive integer multiple, then divide by the gcd."""
+    m = 1
+    while any((x * m).denominator != 1 for x in v):
+        m += 1
+    ints = [int(x * m) for x in v]
+    g = 0
+    for x in ints:
+        g = math.gcd(g, x)
+    return tuple(x // g for x in ints) if g else tuple(ints)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.fractions(-6, 6, max_denominator=8), max_size=5))
+def test_integer_multiples_of_rational_vectors(v):
+    v = vector(v)
+    cleared = clear_denominators(v)
+    assert all(type(x) is int for x in cleared)
+    multiple = next((Fraction(c) / x for c, x in zip(cleared, v) if x), Fraction(1))
+    assert multiple > 0 and all(multiple * x == c for x, c in zip(v, cleared))
+    assert scale_to_integers(v) == _primitive_multiple(v)

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grouporders import klein
 from grouporders.errors import IdentityElement, NonAutomorphism, ParseError
 from grouporders.klein import (KleinAut, KleinElement, KleinOrdering, abelianized,
                                alpha1, alpha2, alpha3, identity_aut, inner_by,
@@ -178,3 +179,63 @@ def test_automorphisms_match_brute_force_inverse_search():
             assert (inv.image_x, inv.image_y) == expected
             accepted += 1
     assert accepted == 2 * 9 * 2
+
+
+def test_is_inner_beyond_the_old_search_box():
+    phi = inner_by(KleinElement(0, 20))
+    assert (phi.image_x, phi.image_y) == (KleinElement(1, -40), Y)
+    c = is_inner(phi)
+    assert c is not None and inner_by(c) == phi
+
+
+def _searched_conjugator(phi, bound=8):
+    """Reference: a conjugator in [-bound, bound]^2, or None."""
+    if abelianized(phi.apply(X)) != abelianized(X) or \
+            abelianized(phi.apply(Y)) != abelianized(Y):
+        return None
+    for a in range(-bound, bound + 1):
+        for b in range(-bound, bound + 1):
+            c = KleinElement(a, b)
+            if c * X * c.inverse() == phi.apply(X) and \
+                    c * Y * c.inverse() == phi.apply(Y):
+                return c
+    return None
+
+
+def test_is_inner_matches_bounded_search():
+    inner = 0
+    for e in (1, -1):
+        for d in (1, -1):
+            for m in range(-8, 9):
+                phi = KleinAut(KleinElement(e, m), KleinElement(0, d))
+                expected = _searched_conjugator(phi)
+                c = is_inner(phi)
+                assert (c is None) == (expected is None), phi
+                if c is not None:
+                    # conjugators are unique up to the centre <x^2>
+                    assert inner_by(c) == inner_by(expected) == phi
+                    assert c.b == expected.b and (c.a - expected.a) % 2 == 0
+                    inner += 1
+    assert inner == 2 * 9
+
+
+def test_each_cone_is_checked_once(monkeypatch):
+    checked = []
+    real = klein._cone_axioms_hold
+
+    def counting(ordering, radius):
+        checked.append((ordering.eps, ordering.delta, radius))
+        return real(ordering, radius)
+
+    monkeypatch.setattr(klein, "_cone_axioms_hold", counting)
+    klein._verify_cone.cache_clear()
+    try:
+        for _ in range(3):
+            k_out_table()
+        assert sorted(checked) == [(-1, -1, 3), (-1, 1, 3), (1, -1, 3), (1, 1, 3)]
+        klein._verify_cone.cache_clear()
+        monkeypatch.setattr(klein, "_cone_axioms_hold", lambda ordering, radius: False)
+        with pytest.raises(AssertionError):
+            KleinOrdering(1, 1)
+    finally:
+        klein._verify_cone.cache_clear()

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from grouporders.errors import CommonRoot, DepthExceedsCap, EmptyWord
 from grouporders.report import random_standard_ordering
-from grouporders.stdord import (StandardOrdering, TwistedOrdering, ball_distance,
+from grouporders.stdord import (AxiomReport, StandardOrdering, TwistedOrdering, ball_distance,
                                 compare, identity_levels, identity_ordering,
                                 ordering_from_json, pullback, separate, std_sign,
                                 verify_cone_axioms)
@@ -162,3 +162,112 @@ def test_ordering_json_round_trip():
     again = ordering_from_json(twisted.to_json())
     for w in ball_words(2, 3):
         assert again.sign(w) == twisted.sign(w)
+
+
+def _unmemoized_axioms(ordering, radius):
+    """Reference: the axiom check signing every product and conjugate afresh."""
+    rank = ordering.rank
+    signs = {}
+    report = AxiomReport(radius=radius, words_checked=0)
+    words = list(ball_words(rank, radius))
+    report.words_checked = len(words)
+    for w in words:
+        try:
+            signs[w.letters] = ordering.sign(w)
+        except DepthExceedsCap:
+            report.skipped_words += 1
+    for w in words:
+        s = signs.get(w.letters)
+        if s is None:
+            continue
+        if s not in (1, -1):
+            report.totality_ok = False
+            report.counterexample = report.counterexample or ("totality", str(w))
+        s_inv = signs.get(w.inverse().letters)
+        if s_inv is not None and s_inv != -s:
+            report.antisymmetry_ok = False
+            report.counterexample = report.counterexample or ("antisymmetry", str(w))
+    positives = [w for w in words if signs.get(w.letters) == 1]
+    for u in positives:
+        for v in positives:
+            p = u * v
+            if p.is_identity():
+                report.closure_ok = False
+                report.counterexample = report.counterexample or ("closure", str(u), str(v))
+                continue
+            try:
+                if ordering.sign(p) != 1:
+                    report.closure_ok = False
+                    report.counterexample = report.counterexample or \
+                        ("closure", str(u), str(v))
+            except DepthExceedsCap:
+                report.skipped_pairs += 1
+    for w in words:
+        s = signs.get(w.letters)
+        if s is None:
+            continue
+        for i in range(1, rank + 1):
+            conj = w.conjugate_by(generator(rank, i))
+            try:
+                if ordering.sign(conj) != s:
+                    report.conjugation_ok = False
+                    report.counterexample = report.counterexample or \
+                        ("conjugation", str(w), f"x{i}")
+            except DepthExceedsCap:
+                report.skipped_pairs += 1
+    return report
+
+
+def _tampered_twist(cap, psi):
+    """The x1 x2 / x2 x1 twisted ordering loaded from JSON with another psi."""
+    data = separate(parse_word("x1 x2", 2), parse_word("x2 x1", 2), cap=cap).to_json()
+    data["psi"] = psi
+    return ordering_from_json(data)
+
+
+def test_axiom_report_matches_unmemoized_loop():
+    rng = random.Random(11)
+    randoms = [(random_standard_ordering(2, 5, rng), 3) for _ in range(2)]
+    randoms.append((random_standard_ordering(3, 3, rng), 2))
+    for ordering, radius in randoms:
+        assert verify_cone_axioms(ordering, radius) == _unmemoized_axioms(ordering, radius)
+    # a psi that does not annihilate the twist constraints
+    failing = _tampered_twist(5, [[[1, 2], "1"]])
+    report = verify_cone_axioms(failing, 3)
+    assert report.counterexample == ("antisymmetry", "x1 x2")
+    assert report == _unmemoized_axioms(failing, 3)
+    # at cap 2 some products of positives are invisible; several pairs give
+    # the same product, and each pair counts
+    deep = _tampered_twist(2, [[list(m), "1"] for m in ((1, 1), (1, 2), (2, 1), (2, 2))])
+    report = verify_cone_axioms(deep, 4)
+    assert report.skipped_pairs > 0
+    assert report == _unmemoized_axioms(deep, 4)
+    shallow = identity_ordering(2, 1)
+    report = verify_cone_axioms(shallow, 4)
+    assert report.skipped_words > 0
+    assert report == _unmemoized_axioms(shallow, 4)
+    # every product longer than the ball is undecided, and many pairs share
+    # a product: each occurrence must count as one skipped pair
+    short = _ShortWordsOnly(LEX, 3)
+    report = verify_cone_axioms(short, 3)
+    assert report.skipped_pairs > len({(u * v).letters for u, v in _positive_pairs(short, 3)
+                                       if len(u * v) > 3})
+    assert report == _unmemoized_axioms(short, 3)
+
+
+class _ShortWordsOnly:
+    """An ordering that, like a class cap, leaves some words undecided: here
+    every word longer than ``length``."""
+
+    def __init__(self, ordering, length):
+        self.ordering, self.length, self.rank = ordering, length, ordering.rank
+
+    def sign(self, w):
+        if len(w) > self.length:
+            raise DepthExceedsCap("longer than the decided words")
+        return self.ordering.sign(w)
+
+
+def _positive_pairs(ordering, radius):
+    positives = [w for w in ball_words(ordering.rank, radius) if ordering.sign(w) == 1]
+    return [(u, v) for u in positives for v in positives]

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grouporders import exactlin
@@ -182,3 +182,44 @@ def test_positive_ratio_exactly_for_positive_multiples(data):
     else:
         assert ratio > 0
         assert all(ratio * a == b for a, b in zip(u, v))
+
+
+def _first_nonzero_image_sign(rows, v):
+    """Reference: sign of the first nonzero entry of the exact product rows . v."""
+    for row in rows:
+        value = sum((Fraction(a) * Fraction(b) for a, b in zip(row, v)), Fraction(0))
+        if value != 0:
+            return 1 if value > 0 else -1
+    return 0
+
+
+small_rationals = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_flag_sign_matches_exact_matrix_vector_product(data):
+    n = data.draw(st.integers(1, 6))
+    rows = data.draw(st.lists(st.lists(small_rationals, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    assume(exactlin.rank(rows) == n)
+    # a vector vanishing on the first k rows, so later rows decide its sign
+    # (k = n gives the zero vector)
+    k = data.draw(st.integers(0, n))
+    basis = exactlin.kernel_basis(rows[:k]) if k else FlagOrdering.identity(n).rows
+    coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=len(basis),
+                                max_size=len(basis)))
+    v = tuple(sum((c * b[i] for c, b in zip(coeffs, basis)), Fraction(0))
+              for i in range(n))
+    form = data.draw(st.sampled_from(["int", "fraction", "string"]))
+    if form == "int":
+        v = exactlin.scale_to_integers(v)
+    elif form == "string":
+        v = tuple(str(x) for x in v)
+    assert flag_sign(FlagOrdering(rows), v) == _first_nonzero_image_sign(rows, v)
+
+
+def test_flag_sign_dimension_mismatch():
+    for v in ((1, 2, 3), (Fraction(1, 2),), ("1/2", "0", "1")):
+        with pytest.raises(DimensionMismatch):
+            flag_sign(I2, v)
