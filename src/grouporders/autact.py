@@ -26,6 +26,8 @@ from .stdord import (Ordering, StandardOrdering, identity_levels, separate,
 from .words import Automorphism, Endomorphism, Word, ball_words, generator
 from .znord import IntegerAutomorphism, gl_witness
 
+WITNESS_RADIUS = 3  # ball searched by ordering_witness for a word an IA map moves
+
 
 @dataclass(frozen=True)
 class RootDecomposition:
@@ -140,7 +142,7 @@ def pulled_sign(phi, ordering: Ordering, w: Word) -> int:
     return std_sign(ordering, _as_endomorphism(phi).apply(w))
 
 
-def ordering_witness(phi, cap: int = 5, search_radius: int = 3) -> OrderingWitness:
+def ordering_witness(phi, cap: int = 5) -> OrderingWitness:
     """An ordering and word certifying that phi moves some left ordering.
 
     Non-IA maps are witnessed on the abelianization; IA maps by separating
@@ -163,7 +165,7 @@ def ordering_witness(phi, cap: int = 5, search_radius: int = 3) -> OrderingWitne
         return OrderingWitness(ordering, w, std_sign(ordering, w),
                                std_sign(ordering, endo.apply(w)), endo)
     failure: Exception | None = None
-    for g in ball_words(rank, search_radius):
+    for g in ball_words(rank, WITNESS_RADIUS):
         image = endo.apply(g)
         if image == g:
             continue
@@ -174,7 +176,7 @@ def ordering_witness(phi, cap: int = 5, search_radius: int = 3) -> OrderingWitne
             continue
         return OrderingWitness(ordering, g, -1, 1, endo)
     raise DepthCapExceeded(
-        f"no witness within radius {search_radius} at cap {cap}") from failure
+        f"no witness within radius {WITNESS_RADIUS} at cap {cap}") from failure
 
 
 def boundary_separation(phi, search_radius: int = 3) -> Word:

@@ -11,6 +11,8 @@ import random
 
 from .words import Automorphism, inner_automorphism, parse_endomorphism, parse_word
 
+MAX_FACTORS = 3  # a random IA product composes 1 to MAX_FACTORS generators
+
 
 def _aut(rank: int, forward: str, inverse: str) -> Automorphism:
     return Automorphism(parse_endomorphism(forward, rank),
@@ -78,9 +80,9 @@ def ia_generators(rank: int) -> list[Automorphism]:
     return gens
 
 
-def random_ia_product(rank: int, rng: random.Random, max_factors: int = 3) -> Automorphism:
+def random_ia_product(rank: int, rng: random.Random) -> Automorphism:
     pool = ia_generators(rank)
-    factors = rng.randint(1, max_factors)
+    factors = rng.randint(1, MAX_FACTORS)
     result = rng.choice(pool)
     for _ in range(factors - 1):
         result = result.compose(rng.choice(pool))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import report as report_module
 from .autact import (boundary_separation, common_power, ordering_witness,
@@ -17,7 +18,7 @@ from .autact import (boundary_separation, common_power, ordering_witness,
 from .errors import CapExceeded, GroupOrderError, InputError, NegativeCertificate
 from .exactlin import matrix
 from .hall import leading_coords
-from .klein import (k_enumerate_orderings, k_mul, k_out_table, k_pull,
+from .klein import (KleinOrdering, k_enumerate_orderings, k_mul, k_out_table, k_pull,
                     parse_klein, parse_klein_aut)
 from .series import lcs_depth, magnus
 from .stdord import (ball_distance, compare, identity_ordering, ordering_from_json,
@@ -60,6 +61,11 @@ def _load_ordering(args) -> object:
     return ordering_from_json(_read_maybe_file(spec))
 
 
+def _rows_text(rows) -> str:
+    """Flag rows as '1 0; 0 1'."""
+    return "; ".join(" ".join(str(x) for x in row) for row in rows)
+
+
 def _emit(args, payload: dict, human: str) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2))
@@ -67,7 +73,9 @@ def _emit(args, payload: dict, human: str) -> None:
         print(human)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="grouporders",
         description="exact computations with left-invariant group orderings")
@@ -171,8 +179,7 @@ def _run_zn(args) -> int:
         a = IntegerAutomorphism(_parse_matrix(args.matrix, integer=True))
         flag = FlagOrdering(_parse_matrix(args.flag))
         result = act(a, flag)
-        _emit(args, result.to_json(),
-              "; ".join(" ".join(str(x) for x in row) for row in result.rows))
+        _emit(args, result.to_json(), _rows_text(result.rows))
     elif args.command == "witness":
         a = IntegerAutomorphism(_parse_matrix(args.matrix, integer=True))
         flag, v = gl_witness(a)
@@ -181,12 +188,11 @@ def _run_zn(args) -> int:
                    "sign_after": SIGN_WORDS[flag_sign(flag, a.apply(v))]}
         _emit(args, payload,
               f"vector {list(v)} is {payload['sign']} but maps {payload['sign_after']}\n"
-              f"flag rows: " + "; ".join(" ".join(str(x) for x in row) for row in flag.rows))
+              f"flag rows: {_rows_text(flag.rows)}")
     elif args.command == "realize":
         vectors = _parse_matrix(args.vectors, integer=True)
         flag = realize_flag(vectors)
-        _emit(args, flag.to_json(),
-              "; ".join(" ".join(str(x) for x in row) for row in flag.rows))
+        _emit(args, flag.to_json(), _rows_text(flag.rows))
     return 0
 
 
@@ -203,8 +209,8 @@ def _run_free(args) -> int:
         _emit(args, {"depth": depth, "coords": list(coords)},
               f"depth {depth}, coordinates {list(coords)}")
     elif args.command == "magnus":
-        w = parse_word(args.word, args.rank)
-        _emit(args, {"series": str(magnus(w, args.cap))}, str(magnus(w, args.cap)))
+        series = str(magnus(parse_word(args.word, args.rank), args.cap))
+        _emit(args, {"series": series}, series)
     elif args.command == "sign":
         ordering = _load_ordering(args)
         value = std_sign(ordering, parse_word(args.word, ordering.rank))
@@ -287,7 +293,6 @@ def _run_klein(args) -> int:
         text = args.ordering.strip("()")
         eps = 1 if text[0] == "+" else -1
         delta = 1 if text[-1] == "+" else -1
-        from .klein import KleinOrdering
         result = k_pull(phi, KleinOrdering(eps, delta))
         _emit(args, {"eps": result.eps, "delta": result.delta}, str(result))
     elif args.command == "table":

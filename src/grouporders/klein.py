@@ -220,14 +220,20 @@ def k_pull(phi: KleinAut, ordering: KleinOrdering) -> KleinOrdering:
     """The ordering judging p the way ``ordering`` judges phi(p).
 
     The result is always one of the four cones; matching on the images of x
-    and y is verified against a ball sample.
+    and y is verified against a ball sample once per (phi, ordering).
     """
     eps = ordering.sign(phi.apply(KleinElement(1, 0)))
     delta = ordering.sign(phi.apply(KleinElement(0, 1)))
     pulled = KleinOrdering(eps, delta)
-    for p in _ball(3):
-        assert pulled.sign(p) == ordering.sign(phi.apply(p))
+    _verify_pull(phi, ordering, pulled)
     return pulled
+
+
+@lru_cache(maxsize=1024)  # bounded: phi can come from user input
+def _verify_pull(phi: KleinAut, ordering: KleinOrdering, pulled: KleinOrdering) -> None:
+    """The radius-3 check of a pull; ``pulled`` is fixed by (phi, ordering)."""
+    if any(pulled.sign(p) != ordering.sign(phi.apply(p)) for p in _ball(3)):
+        raise AssertionError(f"pulling {ordering} through {phi} does not give {pulled}")
 
 
 def is_inner(phi: KleinAut) -> KleinElement | None:

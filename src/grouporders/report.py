@@ -42,13 +42,18 @@ class CriterionResult:
         return f"[{status}] criterion {self.number}: {self.name} ({self.detail}; {self.seconds:.2f}s)"
 
 
-def _timed(number: int, name: str, run: Callable[[], tuple[bool, str]]) -> CriterionResult:
-    start = time.time()
+def _timed(number: int, name: str, run: Callable[[], tuple[bool, str]],
+           budget: float | None = None) -> CriterionResult:
+    """Run one criterion; a pass that takes ``budget`` seconds or more fails."""
+    start = time.perf_counter()
     try:
         passed, detail = run()
     except Exception as exc:  # a crash is a failure, not an abort
         passed, detail = False, f"exception: {exc!r}"
-    return CriterionResult(number, name, passed, detail, time.time() - start)
+    seconds = time.perf_counter() - start
+    if passed and budget is not None and seconds >= budget:
+        passed, detail = False, f"{detail}; exceeded {budget:g}s budget"
+    return CriterionResult(number, name, passed, detail, seconds)
 
 
 def _random_gl(rng: random.Random, n: int) -> IntegerAutomorphism:
@@ -74,11 +79,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CriterionResult:
                     return False, f"unverified witness for {a.entries}"
                 checked += 1
         return True, f"{checked} random GL witnesses verified"
-    result = _timed(1, "GL faithfulness on flag orderings", run)
-    if result.passed and result.seconds >= 5.0:
-        result.passed = False
-        result.detail += "; exceeded 5s budget"
-    return result
+    return _timed(1, "GL faithfulness on flag orderings", run, budget=5)
 
 
 def _random_vector_sets(rng: random.Random, count: int):
@@ -217,11 +218,7 @@ def criterion_6(seed: int = DEFAULT_SEED) -> CriterionResult:
         except IdentityAutomorphism:
             pass
         return True, f"{len(entries)} catalog witnesses verified ({twisted} twisted)"
-    result = _timed(6, "ordering-action witnesses for the catalog", run)
-    if result.passed and result.seconds >= 60.0:
-        result.passed = False
-        result.detail += "; exceeded 60s budget"
-    return result
+    return _timed(6, "ordering-action witnesses for the catalog", run, budget=60)
 
 
 def criterion_7(seed: int = DEFAULT_SEED) -> CriterionResult:
@@ -291,11 +288,7 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
             return False, "action kernel unexpectedly trivial"
         return True, ("4 verified orderings, Out(K) = Z/2 x Z/2, "
                       f"kernel {table.action_kernel}")
-    result = _timed(10, "Klein bottle suite", run)
-    if result.passed and result.seconds >= 2.0:
-        result.passed = False
-        result.detail += "; exceeded 2s budget"
-    return result
+    return _timed(10, "Klein bottle suite", run, budget=2)
 
 
 def random_standard_ordering(rank: int, cap: int, rng: random.Random) -> StandardOrdering:

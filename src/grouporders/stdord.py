@@ -32,20 +32,21 @@ reported as :class:`DepthCapExceeded`, never silently approximated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Sequence
 
 from . import exactlin, hall
 from .errors import (CommonRoot, DepthCapExceeded, DepthExceedsCap, DimensionMismatch,
                      EmptyWord)
-from .exactlin import Vector, dot, strict_separator, vector
+from .exactlin import strict_separator, vector
 from .hall import layer_rank, leading_coords, lie_coords, monomials
 from .series import Monomial, leading_part, magnus
 from .words import Word, ball_words, generator, identity_word
 from .znord import FlagOrdering, complete_flag, flag_sign, positive_ratio
+
+POWER_BOUND = 64  # largest exponent a or b that separate tries in g^a, k^b
 
 
 def _check_levels(rank: int, cap: int, levels: Sequence[FlagOrdering]):
@@ -116,6 +117,11 @@ class TwistedOrdering:
     ``psi`` maps degree-``twist_degree`` monomials to rationals and must
     satisfy the orthogonality constraints described in the module docstring
     (the constructor does not re-derive them; use :func:`build_twisted`).
+
+    A sign reads depth and leading part as :class:`StandardOrdering` does.
+    With i the first nonzero index of U and c the pivot-level coordinates,
+    the rows vanishing on U have the signs of u_i (u_i c_k - u_k c_i), and
+    the dual of U reads c_i / u_i; the degree-j part is read only if needed.
     """
 
     rank: int
@@ -126,8 +132,6 @@ class TwistedOrdering:
     psi: tuple[tuple[Monomial, Fraction], ...]
     alpha: Fraction
     levels: tuple[FlagOrdering, ...]
-    _annihilator: tuple[Vector, ...] = field(default=(), compare=False, repr=False)
-    _dual: Vector = field(default=(), compare=False, repr=False)
 
     def __post_init__(self):
         _check_levels(self.rank, self.cap, tuple(self.levels))
@@ -140,45 +144,35 @@ class TwistedOrdering:
         object.__setattr__(self, "psi", tuple((tuple(m), Fraction(c))
                                               for m, c in self.psi))
         object.__setattr__(self, "alpha", Fraction(self.alpha))
-        ann = tuple(exactlin.kernel_basis([vector(u)]))
-        object.__setattr__(self, "_annihilator", ann)
-        lead = next(i for i, x in enumerate(u) if x != 0)
-        dual = tuple(Fraction(1, u[lead]) if i == lead else Fraction(0)
-                     for i in range(len(u)))
-        object.__setattr__(self, "_dual", dual)
-
-    def _psi_value(self, part: dict[Monomial, int]) -> Fraction:
-        return sum((c * part.get(m, 0) for m, c in self.psi), Fraction(0))
 
     def sign(self, w: Word) -> int:
         if w.is_identity():
             raise EmptyWord("the identity has no sign")
-        series = magnus(w, self.cap)
-        depth = series.min_degree()
-        if depth is None:
+        lead = leading_part(w, self.cap)
+        if lead is None:
             raise DepthExceedsCap(f"word not visible at class cap {self.cap}")
-        d = self.pivot_level
+        depth, part = lead
+        d, j = self.pivot_level, self.twist_degree
         if depth < d:
-            coords = lie_coords(self.rank, depth, series.graded_part(depth))
-            return flag_sign(self.levels[depth - 1], coords)
+            return flag_sign(self.levels[depth - 1], lie_coords(self.rank, depth, part))
+        s = Fraction(0)
         if depth == d:
-            coords = lie_coords(self.rank, d, series.graded_part(d))
-        else:
-            coords = tuple(0 for _ in range(layer_rank(self.rank, d)))
-        for row in self._annihilator:
-            value = dot(row, coords)
-            if value != 0:
-                return 1 if value > 0 else -1
-        s = dot(self._dual, coords)
-        rho = self.alpha * s + self._psi_value(series.graded_part(self.twist_degree))
+            c = lie_coords(self.rank, d, part)
+            u = self.pivot_coords
+            i = next(k for k, x in enumerate(u) if x)
+            for k in range(len(u)):
+                value = u[i] * (u[i] * c[k] - u[k] * c[i])
+                if value:
+                    return 1 if value > 0 else -1
+            s = Fraction(c[i], u[i])
+        part_j = part if depth == j else {} if depth > j else magnus(w, j).graded_part(j)
+        rho = self.alpha * s + sum(x * part_j.get(m, 0) for m, x in self.psi)
         if rho != 0:
             return 1 if rho > 0 else -1
         if s != 0:
             return 1 if s > 0 else -1
         # remaining words sit strictly below the pivot level: plain level scan
-        assert depth > d
-        coords = lie_coords(self.rank, depth, series.graded_part(depth))
-        return flag_sign(self.levels[depth - 1], coords)
+        return flag_sign(self.levels[depth - 1], lie_coords(self.rank, depth, part))
 
     def to_json(self) -> dict:
         return {
@@ -442,8 +436,7 @@ def _twist_constraints(rank: int, cap: int, d: int, u0: Sequence[int],
 
 def build_twisted(rank: int, cap: int, d: int, u0: Sequence[int], j: int,
                   z_part: dict[Monomial, int], mu_j_pivot: dict[Monomial, int],
-                  sigma: Fraction,
-                  levels: Sequence[FlagOrdering] | None = None) -> TwistedOrdering:
+                  sigma: Fraction) -> TwistedOrdering:
     """Twisted ordering whose twist row takes value +1/2 on the pivot element
     and -1/2 on pivot * z^-1, given the degree-j data of both.
 
@@ -464,11 +457,10 @@ def build_twisted(rank: int, cap: int, d: int, u0: Sequence[int], j: int,
     alpha = (Fraction(1, 2) - psi_on_pivot) / sigma
     return TwistedOrdering(
         rank=rank, cap=cap, pivot_level=d, pivot_coords=tuple(u0),
-        twist_degree=j, psi=psi, alpha=alpha,
-        levels=tuple(levels) if levels is not None else identity_levels(rank, cap))
+        twist_degree=j, psi=psi, alpha=alpha, levels=identity_levels(rank, cap))
 
 
-def separate(g: Word, k: Word, cap: int = 5, power_bound: int = 64) -> Ordering:
+def separate(g: Word, k: Word, cap: int = 5) -> Ordering:
     """An ordering with g positive and k negative, when one exists.
 
     Mirrors the constructive route: separate leading coordinates with a
@@ -478,20 +470,17 @@ def separate(g: Word, k: Word, cap: int = 5, power_bound: int = 64) -> Ordering:
     left ordering separates them) and DepthCapExceeded when the divergence
     is not visible within the cap or needs an unsupported twist shape.
     """
-    from .autact import primitive_root
+    from .autact import common_power, primitive_root
     if g.is_identity() or k.is_identity():
         raise EmptyWord("separation needs nonempty words")
     if g.rank != k.rank:
         raise DimensionMismatch("words live in different free groups")
     rank = g.rank
-    root_g = primitive_root(g)
-    root_k = primitive_root(k)
-    if root_g.root == root_k.root:
-        m = root_g.exponent * root_k.exponent // gcd(root_g.exponent, root_k.exponent)
-        raise CommonRoot(
-            f"both words are positive powers of {root_g.root}",
-            root=root_g.root,
-            powers=(m // root_g.exponent, m // root_k.exponent))
+    powers = common_power(g, k)
+    if powers is not None:
+        root = primitive_root(g).root
+        raise CommonRoot(f"both words are positive powers of {root}",
+                         root=root, powers=powers)
     try:
         dg, ug = leading_coords(g, cap)
         dk, uk = leading_coords(k, cap)
@@ -510,9 +499,9 @@ def separate(g: Word, k: Word, cap: int = 5, power_bound: int = 64) -> Ordering:
             ordering = StandardOrdering(rank, cap, tuple(levels))
         else:
             a, b = ratio.numerator, ratio.denominator
-            if max(a, b) > power_bound:
+            if max(a, b) > POWER_BOUND:
                 raise DepthCapExceeded(
-                    f"power matching needs exponents beyond {power_bound}")
+                    f"power matching needs exponents beyond {POWER_BOUND}")
             big_g = g ** a
             big_k = k ** b
             w = big_g * big_k.inverse()
@@ -527,7 +516,7 @@ def separate(g: Word, k: Word, cap: int = 5, power_bound: int = 64) -> Ordering:
             scale = next(Fraction(a * c, u) for c, u in zip(ug, u0) if u)
             ordering = build_twisted(
                 rank, cap, dg, u0, j, z_part=z_part,
-                mu_j_pivot=magnus(big_g, cap).graded_part(j),
+                mu_j_pivot=magnus(big_g, j).graded_part(j),
                 sigma=scale)
     assert ordering.sign(g) == 1 and ordering.sign(k) == -1
     return ordering

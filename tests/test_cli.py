@@ -1,6 +1,10 @@
 import json
+import re
+
+import pytest
 
 from grouporders.cli import main
+from grouporders.stdord import identity_ordering
 
 
 def run(capsys, *argv):
@@ -136,3 +140,84 @@ def test_round_trip_through_files(tmp_path, capsys):
                        "--ordering1", str(path), "--ordering2", str(path),
                        "--radius", "3")
     assert code == 0 and out.strip() == "3"
+
+
+LEX_JSON = json.dumps(identity_ordering(2, 5).to_json())
+
+# one invocation of every subcommand; each runs in text and in --json mode
+SUBCOMMANDS = [
+    ("zn", "sign", "--matrix", "1 0; 0 1", "--vector", "-1 7"),
+    ("zn", "act", "--matrix", "1 1; 0 1", "--flag", "1 0; 0 1"),
+    ("zn", "witness", "--matrix", "1 1; 0 1"),
+    ("zn", "realize", "--vectors", "1 0; -1 1"),
+    ("free", "depth", "x1 x2 x1^-1 x2^-1"),
+    ("free", "coords", "x1 x2 x1^-1 x2^-1"),
+    ("free", "magnus", "x1 x2^-1", "--cap", "3"),
+    ("free", "sign", "x1^-1 x2", "--ordering", LEX_JSON),
+    ("free", "compare", "x1", "x1 x2"),
+    ("free", "separate", "x1 x2", "x2 x1"),
+    ("free", "axioms", "--radius", "2"),
+    ("free", "distance", "--ordering1", LEX_JSON, "--ordering2", LEX_JSON, "--radius", "2"),
+    ("aut", "witness", "x1 -> x1 x2 ; x2 -> x2"),
+    ("aut", "pull", "x1 -> x1 x2 ; x2 -> x2", "x1^-1 x2"),
+    ("aut", "root", "x2^-1 x1^3 x2"),
+    ("aut", "common-power", "x1^2", "x1^3"),
+    ("aut", "boundary", "x1 -> x1 x2 ; x2 -> x2"),
+    ("klein", "mul", "y", "x"),
+    ("klein", "orderings"),
+    ("klein", "pull", "x -> x y ; y -> y^-1", "+-"),
+    ("klein", "table"),
+    ("report", "--only", "10"),
+]
+
+
+def _without_timings(text):
+    """Report lines carry wall-clock seconds, which differ between runs."""
+    return re.sub(r'\d+\.\d+s\)|"seconds": [\d.e-]+', "<t>", text)
+
+
+@pytest.mark.parametrize("argv", SUBCOMMANDS, ids=lambda a: " ".join(a[:2]))
+def test_every_subcommand_repeats_in_one_process(capsys, argv):
+    # the parser is built once per process, so a second call must not differ
+    for mode in ((), ("--json",)):
+        first = run(capsys, *argv, *mode)
+        second = run(capsys, *argv, *mode)
+        assert first[0] == second[0] == 0
+        assert _without_timings(first[1]) == _without_timings(second[1])
+        assert first[2] == second[2]
+
+
+def test_pinned_outputs(capsys):
+    assert run(capsys, "free", "coords", "x1 x2 x1^-1 x2^-1")[1] == \
+        "depth 2, coordinates [1]\n"
+    code, out, _ = run(capsys, "free", "coords", "x1 x2 x1^-1 x2^-1", "--json")
+    assert json.loads(out) == {"depth": 2, "coords": [1]}
+    series = "1 + X1 - X2 - X1 X2 + X2 X2 + X1 X2 X2 - X2 X2 X2"
+    assert run(capsys, "free", "magnus", "x1 x2^-1", "--cap", "3")[1] == series + "\n"
+    code, out, _ = run(capsys, "free", "magnus", "x1 x2^-1", "--cap", "3", "--json")
+    assert json.loads(out) == {"series": series}
+    assert run(capsys, "aut", "pull", "x1 -> x1 x2 ; x2 -> x2", "x1^-1 x2")[1] == \
+        "Negative\n"
+    code, out, _ = run(capsys, "zn", "act", "--matrix", "1 1; 0 1",
+                       "--flag", "1 0; 0 1", "--json")
+    assert json.loads(out) == {"n": 2, "rows": [["1", "1"], ["0", "1"]]}
+    assert run(capsys, "zn", "realize", "--vectors", "1 0; -1 1")[1] == "1 2; 1 0\n"
+    code, out, _ = run(capsys, "klein", "pull", "x -> x y ; y -> y^-1", "+-", "--json")
+    assert json.loads(out) == {"eps": 1, "delta": 1}
+    code, out, _ = run(capsys, "klein", "table", "--json")
+    names = ["1", "a1", "a3", "a1a3"]
+    product = {("1", n): n for n in names}
+    product.update({("a1", "a1"): "1", ("a1", "a3"): "a1a3", ("a1", "a1a3"): "a3",
+                    ("a3", "a3"): "1", ("a3", "a1a3"): "a1", ("a1a3", "a1a3"): "1"})
+    product.update({(b, a): c for (a, b), c in list(product.items())})
+    assert json.loads(out) == {
+        "classes": names,
+        "multiplication": {f"{a},{b}": product[(a, b)] for a in names for b in names},
+        "klein_four_group": True,
+        "actions": {"1": [0, 1, 2, 3], "a1": [0, 1, 2, 3],
+                    "a3": [3, 2, 1, 0], "a1a3": [3, 2, 1, 0]},
+        "action_kernel": ["1", "a1"],
+        "faithful_on_orderings": False,
+        "inner_fixing_everything": "y",
+        "conjugacy_orbits": [[0, 1], [2, 3]],
+    }

@@ -239,3 +239,19 @@ def test_each_cone_is_checked_once(monkeypatch):
             KleinOrdering(1, 1)
     finally:
         klein._verify_cone.cache_clear()
+
+
+
+def test_each_pull_is_checked_once():
+    klein._verify_pull.cache_clear()
+    try:
+        tables = [k_out_table() for _ in range(3)]
+        assert tables[0] == tables[1] == tables[2]
+        # 28 pulls per table: 4 class representatives, conjugation by y, and
+        # conjugation by x and by y again, each on the 4 cones; 24 are distinct
+        info = klein._verify_pull.cache_info()
+        assert (info.misses, info.hits) == (24, 3 * 28 - 24)
+        with pytest.raises(AssertionError):
+            klein._verify_pull(alpha1(), KleinOrdering(1, 1), KleinOrdering(1, -1))
+    finally:
+        klein._verify_pull.cache_clear()

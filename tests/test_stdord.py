@@ -1,17 +1,24 @@
+import itertools
 import random
+from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouporders.errors import CommonRoot, DepthExceedsCap, EmptyWord
+from grouporders.autact import common_power
+from grouporders.errors import CommonRoot, DepthExceedsCap, EmptyWord, GroupOrderError
+from grouporders.exactlin import dot, kernel_basis, vector
+from grouporders.hall import layer_rank, leading_coords, lie_coords
 from grouporders.report import random_standard_ordering
+from grouporders.series import magnus
 from grouporders.stdord import (AxiomReport, StandardOrdering, TwistedOrdering, ball_distance,
                                 compare, identity_levels, identity_ordering,
                                 ordering_from_json, pullback, separate, std_sign,
                                 verify_cone_axioms)
 from grouporders.words import ball_words, commutator, generator, parse_word, word
-from grouporders.znord import opposite
+from grouporders.znord import flag_sign, opposite, positive_ratio
 
 LEX = identity_ordering(2, 5)
 
@@ -271,3 +278,114 @@ class _ShortWordsOnly:
 def _positive_pairs(ordering, radius):
     positives = [w for w in ball_words(ordering.rank, radius) if ordering.sign(w) == 1]
     return [(u, v) for u in positives for v in positives]
+
+
+def _reference_twisted_sign(o, w):
+    """TwistedOrdering.sign read the long way: a full-cap series, the kernel
+    basis of U as the rows vanishing on U, and Fraction dot products."""
+    if w.is_identity():
+        raise EmptyWord("the identity has no sign")
+    series = magnus(w, o.cap)
+    depth = series.min_degree()
+    if depth is None:
+        raise DepthExceedsCap(f"word not visible at class cap {o.cap}")
+    d = o.pivot_level
+    if depth < d:
+        coords = lie_coords(o.rank, depth, series.graded_part(depth))
+        return flag_sign(o.levels[depth - 1], coords)
+    if depth == d:
+        coords = lie_coords(o.rank, d, series.graded_part(d))
+    else:
+        coords = tuple(0 for _ in range(layer_rank(o.rank, d)))
+    u = vector(o.pivot_coords)
+    for row in kernel_basis([u]):
+        value = dot(row, coords)
+        if value != 0:
+            return 1 if value > 0 else -1
+    lead = next(i for i, x in enumerate(u) if x != 0)
+    dual = tuple(1 / u[lead] if i == lead else Fraction(0) for i in range(len(u)))
+    s = dot(dual, coords)
+    part_j = series.graded_part(o.twist_degree)
+    rho = o.alpha * s + sum((c * part_j.get(m, 0) for m, c in o.psi), Fraction(0))
+    if rho != 0:
+        return 1 if rho > 0 else -1
+    if s != 0:
+        return 1 if s > 0 else -1
+    coords = lie_coords(o.rank, depth, series.graded_part(depth))
+    return flag_sign(o.levels[depth - 1], coords)
+
+
+@lru_cache(maxsize=None)
+def _ball_twists():
+    """The twisted orderings separate builds for matched-power pairs of the
+    F_2 radius-3 and F_3 radius-2 balls."""
+    found = []
+    for rank, radius in ((2, 3), (3, 2)):
+        words = list(ball_words(rank, radius))
+        lead = {w.letters: leading_coords(w, 5) for w in words}
+        for g, k in itertools.permutations(words, 2):
+            (dg, ug), (dk, uk) = lead[g.letters], lead[k.letters]
+            if dg == dk and positive_ratio(ug, uk) is not None and \
+                    common_power(g, k) is None:
+                found.append(separate(g, k))
+    return tuple(found)
+
+
+@lru_cache(maxsize=None)
+def _named_twists():
+    x1, x2 = generator(2, 1), generator(2, 2)
+    c = commutator(x1, x2)
+    return (
+        separate(parse_word("x1^-1 x2", 2), parse_word("x2 x1^-1", 2)),  # U = (-1, 1)
+        separate(x1, x1 * commutator(c, x2)),  # pivot level 1, twist degree 3
+        separate(c, c * commutator(c, x1)),  # pivot level 2, twist degree 3
+        _tampered_twist(5, [[[1, 2], "1"]]),
+        _tampered_twist(2, [[list(m), "1"] for m in ((1, 1), (1, 2), (2, 1), (2, 2))]),
+    )
+
+
+def _deep_words(rank):
+    """Iterated commutators of weight 2..6; weight 6 is invisible at cap 5."""
+    out = [commutator(generator(rank, 1), generator(rank, 2))]
+    for weight in range(3, 7):
+        out.append(commutator(out[-1], generator(rank, 1 + weight % rank)))
+    return out
+
+
+@st.composite
+def _ordering_and_word(draw):
+    # draw indices: sampling the orderings themselves would hash each of them
+    pool = draw(st.sampled_from((_named_twists, _ball_twists)))()
+    o = pool[draw(st.integers(0, len(pool) - 1))]
+    letter = st.integers(-o.rank, o.rank).filter(lambda x: x != 0)
+    short = st.lists(letter, min_size=1, max_size=5).map(lambda ls: word(o.rank, ls))
+    w = draw(st.one_of(
+        st.lists(letter, min_size=1, max_size=10).map(lambda ls: word(o.rank, ls)),
+        st.builds(commutator, short, short),
+        st.builds(lambda a, b, c: commutator(commutator(a, b), c), short, short, short),
+        st.sampled_from(_deep_words(o.rank)),
+    ))
+    return o, w
+
+
+def _outcome(sign, o, w):
+    try:
+        return sign(o, w)
+    except GroupOrderError as exc:
+        return type(exc)
+
+
+def test_named_twists_have_the_shapes_they_stand_for():
+    shapes = [(o.pivot_level, o.twist_degree, o.pivot_coords[0] < 0, o.cap)
+              for o in _named_twists()]
+    assert shapes == [(1, 2, True, 5), (1, 3, False, 5), (2, 3, False, 5),
+                      (1, 2, False, 5), (1, 2, False, 2)]
+    assert len(_ball_twists()) == 136
+    assert any(o.pivot_coords[0] < 0 for o in _ball_twists())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ordering_and_word())
+def test_twisted_sign_matches_kernel_basis_reference(case):
+    o, w = case
+    assert _outcome(TwistedOrdering.sign, o, w) == _outcome(_reference_twisted_sign, o, w)
