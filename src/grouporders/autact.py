@@ -1,11 +1,12 @@
 """Automorphisms acting on orderings: witnesses, roots, boundary certificates.
 
 The headline operation is :func:`ordering_witness`: given a non-identity
-automorphism it produces an ordering and a word whose sign the automorphism
-visibly changes.  Automorphisms moving the abelianization are witnessed
-through a flag ordering on the abelianization; the rest are IA and are
-witnessed by separating some word from its image, which generally requires
-a twisted (non-bi-invariant) ordering.
+automorphism (a bare map is decided and inverted by Stallings folding in
+:func:`verify_automorphism`) it produces an ordering and a word whose sign
+the map visibly changes.  Maps moving the abelianization are witnessed
+through a flag ordering on it; the rest are IA and are witnessed by
+separating some word from its image, which generally requires a twisted
+(non-bi-invariant) ordering.
 
 Boundary statements for free groups reduce to root combinatorics: two words
 share a positive common power iff their primitive roots coincide, so a word
@@ -35,8 +36,8 @@ class RootDecomposition:
     exponent: int
 
     def __post_init__(self):
-        assert self.exponent >= 1
-        assert not self.root.is_identity()
+        if self.exponent < 1 or self.root.is_identity():
+            raise AssertionError(f"({self.root})^{self.exponent} is no root decomposition")
 
 
 def primitive_root(w: Word) -> RootDecomposition:
@@ -52,7 +53,8 @@ def primitive_root(w: Word) -> RootDecomposition:
             root_core = Word(w.rank, core.letters[:p])
             root = conj * root_core * conj.inverse()
             m = n // p
-            assert root ** m == w
+            if root ** m != w:
+                raise AssertionError(f"({root})^{m} is not {w}")
             return RootDecomposition(root, m)
     raise AssertionError("unreachable: every word is a power of itself")
 
@@ -71,7 +73,8 @@ def common_power(g: Word, k: Word) -> tuple[int, int] | None:
         return None
     m = rg.exponent * rk.exponent // gcd(rg.exponent, rk.exponent)
     a, b = m // rg.exponent, m // rk.exponent
-    assert g ** a == k ** b
+    if g ** a != k ** b:
+        raise AssertionError(f"({g})^{a} is not ({k})^{b}")
     return a, b
 
 
@@ -79,37 +82,57 @@ def _as_endomorphism(phi) -> Endomorphism:
     return phi.forward if isinstance(phi, Automorphism) else phi
 
 
-def verify_automorphism(phi, length_bound: int = 8) -> Automorphism:
-    """Bundle an endomorphism with an inverse found by bounded search.
+def verify_automorphism(phi) -> Automorphism:
+    """Bundle an endomorphism with its inverse, read off a Stallings fold.
 
-    A surjective endomorphism of a finitely generated free group is an
-    automorphism, so finding preimages of every generator among words of
-    length <= length_bound certifies automorphy.  Failure of the bounded
-    search is reported as NonAutomorphism (meaning: not verified within the
-    bound), after a fast determinant rejection on the abelianization.
+    Image i is a loop at the base with labels x_i, 1, 1, ..., so phi of a
+    closed path's label is the word it reads (Stallings, Invent. Math.
+    1983).  One letter joining two classes by two different labels gives a
+    word phi kills; else phi is onto, so an automorphism (F_n is Hopfian),
+    exactly when the fold ends in the rose at the base, and the label of
+    the x_j loop is the preimage of x_j.
     """
     if isinstance(phi, Automorphism):
         return phi
-    rank = phi.rank
-    a1 = induced_matrix(phi, 1)
-    from .znord import _int_det
-    if abs(_int_det(a1)) != 1:
-        raise NonAutomorphism("abelianization matrix is not invertible over Z")
-    targets = {generator(rank, i).letters: i for i in range(1, rank + 1)}
-    found: dict[int, Word] = {}
-    for w in ball_words(rank, length_bound):
-        image = phi.apply(w)
-        idx = targets.get(image.letters)
-        if idx is not None and idx not in found:
-            found[idx] = w
-            if len(found) == rank:
-                break
-    if len(found) != rank:
-        raise NonAutomorphism(
-            f"no inverse with images of length <= {length_bound}; "
-            "automorphy unverified")
-    inverse = Endomorphism(rank, tuple(found[i] for i in range(1, rank + 1)))
-    return Automorphism(phi, inverse)
+    one = Word(phi.rank, ())
+    parent, offset, todo = [0], {}, []  # todo: half-edges (u, letter, v, label)
+    for i, image in enumerate(phi.images, start=1):
+        path = [0, *range(len(parent), len(parent) + len(image) - 1), 0]
+        parent += path[1:-1]
+        for k, letter in enumerate(image.letters):
+            label = generator(phi.rank, i) if k == 0 else one
+            todo += [(path[k], letter, path[k + 1], label),
+                     (path[k + 1], -letter, path[k], label.inverse())]
+
+    def find(v):
+        """The root of v's class and the label of a path from it to v."""
+        label = one
+        while parent[v] != v:  # path halving: v skips to its grandparent
+            p = parent[v]
+            parent[v], offset[v] = parent[p], offset.get(p, one) * offset[v]
+            label, v = offset[v] * label, parent[v]
+        return v, label
+
+    def hop(u, letter, v, label):  # the roots of u and v, and the label between them
+        (r, mu), (s, mv) = find(u), find(v)
+        return r, s, mu * label * mv.inverse()
+
+    out = [{} for _ in parent]  # class root -> letter -> a half-edge from it
+    while todo:
+        edge = todo.pop()
+        r, s, m2 = hop(*edge)
+        _, s1, m1 = hop(*out[r].setdefault(edge[1], edge))
+        if s1 == s and m1 != m2:
+            raise NonAutomorphism(f"phi sends {m1 * m2.inverse()} to 1")
+        if s1 != s:  # merge, the lower root staying, so the base stays a root
+            if s < s1:
+                s, s1, m1, m2 = s1, s, m2, m1
+            parent[s], offset[s] = s1, m1.inverse() * m2  # label s1 -> s
+            todo += out[s].values()  # s is no root now, so out[s] is never read again
+    loops = [hop(*out[0][j]) for j in range(1, phi.rank + 1) if j in out[0]]
+    if [s for _, s, _ in loops] != [0] * phi.rank:
+        raise NonAutomorphism("the images do not generate the free group")
+    return Automorphism(phi, Endomorphism(phi.rank, tuple(m for _, _, m in loops)))
 
 
 @dataclass(frozen=True)
@@ -123,9 +146,10 @@ class OrderingWitness:
     mapping: Endomorphism
 
     def __post_init__(self):
-        assert self.sign_before == std_sign(self.ordering, self.word)
-        assert self.sign_after == std_sign(self.ordering, self.mapping.apply(self.word))
-        assert self.sign_before != self.sign_after
+        before = std_sign(self.ordering, self.word)
+        after = std_sign(self.ordering, self.mapping.apply(self.word))
+        if (self.sign_before, self.sign_after) != (before, after) or before == after:
+            raise AssertionError(f"signs of {self.word} under {self.mapping} do not check")
 
     def to_json(self) -> dict:
         return {
@@ -149,10 +173,9 @@ def ordering_witness(phi, cap: int = 5) -> OrderingWitness:
     the first moved ball word from its image.  DepthCapExceeded is a
     declared outcome (the divergence may sit below the cap), not a bug.
     """
-    endo = _as_endomorphism(phi)
+    endo = verify_automorphism(phi).forward
     if endo.is_identity():
         raise IdentityAutomorphism("the identity fixes every ordering")
-    verify_automorphism(phi)
     rank = endo.rank
     a1 = induced_matrix(endo, 1)
     if a1 != identity_matrix(rank):

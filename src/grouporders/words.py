@@ -10,7 +10,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import ParseError, RankMismatch
+from .errors import NonAutomorphism, ParseError, RankMismatch
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -230,7 +230,7 @@ class Automorphism:
         ident = Endomorphism.identity(rank)
         if self.forward.compose(self.inverse) != ident or \
                 self.inverse.compose(self.forward) != ident:
-            raise RankMismatch("maps are not mutually inverse")
+            raise NonAutomorphism("maps are not mutually inverse")
 
     @property
     def rank(self) -> int:

@@ -1,4 +1,10 @@
 import itertools
+import os
+import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -6,13 +12,16 @@ from hypothesis import strategies as st
 
 from grouporders.autact import (boundary_separation, common_power, ordering_witness,
                                 primitive_root, pulled_sign, verify_automorphism)
-from grouporders.catalog import automorphism_catalog
+import grouporders
+from grouporders.catalog import automorphism_catalog, ia_generators
 from grouporders.errors import (EmptyWord, IdentityAutomorphism, NonAutomorphism,
                                 NotFoundWithinBall)
+from grouporders.hall import induced_matrix
 from grouporders.stdord import TwistedOrdering, identity_ordering, std_sign
-from grouporders.words import (Automorphism, Endomorphism, ball_words,
-                               inner_automorphism, parse_endomorphism, parse_word,
-                               word)
+from grouporders.words import (Automorphism, Endomorphism, ball_words, generator,
+                               identity_word, inner_automorphism, parse_endomorphism,
+                               parse_word, word)
+from grouporders.znord import _int_det
 
 LEX = identity_ordering(2, 5)
 
@@ -99,10 +108,10 @@ def test_witness_rejects_identity_and_non_automorphisms():
         ordering_witness(parse_endomorphism("x1 -> x1^2", 2))
 
 
-def test_bounded_verification_reports_unverified():
+def test_verify_automorphism_inverts_twist():
     phi = parse_endomorphism("x1 -> x1 x2 ; x2 -> x2 x1 x2", 2)
-    with pytest.raises(NonAutomorphism):
-        verify_automorphism(phi, length_bound=2)  # inverse needs length 3
+    assert verify_automorphism(phi).inverse == \
+        parse_endomorphism("x1 -> x1^2 x2^-1 ; x2 -> x2 x1^-1", 2)
 
 
 def test_verify_automorphism_finds_inverse():
@@ -143,3 +152,122 @@ def test_boundary_separation_ball_exhaustion():
     with pytest.raises(NotFoundWithinBall):
         boundary_separation(parse_endomorphism("x1 -> x1 ; x2 -> x2^2", 2),
                             search_radius=0)
+
+
+def bounded_inverse(phi, length_bound):
+    """Reference: the earlier bounded search for preimages of the generators.
+
+    None where the determinant test or the search within length_bound fails.
+    """
+    rank = phi.rank
+    if abs(_int_det(induced_matrix(phi, 1))) != 1:
+        return None
+    targets = {generator(rank, i).letters: i for i in range(1, rank + 1)}
+    found = {}
+    for w in ball_words(rank, length_bound):
+        idx = targets.get(phi.apply(w).letters)
+        if idx is not None and idx not in found:
+            found[idx] = w
+            if len(found) == rank:
+                break
+    if len(found) != rank:
+        return None
+    return Endomorphism(rank, tuple(found[i] for i in range(1, rank + 1)))
+
+
+def folded_inverse(phi):
+    """The fold's inverse, or None after checking what a rejection claims."""
+    try:
+        return verify_automorphism(phi).inverse
+    except NonAutomorphism as exc:
+        killed = re.fullmatch(r"phi sends (.*) to 1", str(exc))
+        if killed:
+            w = parse_word(killed.group(1), phi.rank)
+            assert not w.is_identity() and phi.apply(w).is_identity()
+        return None
+
+
+def test_fold_matches_bounded_search_on_radius_two_maps():
+    ball = [identity_word(2), *ball_words(2, 2)]
+    verified = 0
+    for images in itertools.product(ball, repeat=2):
+        phi = Endomorphism(2, images)
+        expected = bounded_inverse(phi, 8)
+        if expected is not None:
+            verified += 1
+            assert folded_inverse(phi) == expected, phi
+        else:
+            folded_inverse(phi)
+    assert (len(ball) ** 2, verified) == (289, 72)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(st.integers(-3, 3).filter(bool), max_size=3),
+                min_size=3, max_size=3))
+def test_fold_matches_bounded_search_on_rank_three_maps(raw):
+    phi = Endomorphism(3, tuple(word(3, ls) for ls in raw))
+    expected = bounded_inverse(phi, 4)
+    got = folded_inverse(phi)
+    if expected is not None:
+        assert got == expected
+
+
+def test_fold_inverts_the_catalog():
+    for name, aut in automorphism_catalog():
+        assert verify_automorphism(aut.forward).inverse == aut.inverse, name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([2, 3]), st.lists(st.integers(0, 99), min_size=1, max_size=5))
+def test_fold_inverts_ia_products(rank, picks):
+    pool = ia_generators(rank)
+    product = pool[picks[0] % len(pool)]
+    for pick in picks[1:]:
+        product = product.compose(pool[pick % len(pool)])
+    assert verify_automorphism(product.forward).inverse == product.inverse
+
+
+@pytest.mark.parametrize("text", [
+    "x1 -> x1^2",
+    "x1 -> x1 x2 x1 ; x2 -> x2 x1 x2",
+    "x1 -> x1 x2 x1^-1 x2^-1",
+    "x1 -> x1^2 x2 x1^-1 ; x2 -> x2",  # determinant 1, still not onto
+])
+def test_fold_rejects_maps_that_are_not_onto(text):
+    with pytest.raises(NonAutomorphism, match="do not generate"):
+        verify_automorphism(parse_endomorphism(text, 2))
+
+
+def test_fold_names_a_killed_word():
+    phi = parse_endomorphism("x1 -> x1^2 ; x2 -> x1^3", 2)
+    with pytest.raises(NonAutomorphism, match="to 1"):
+        verify_automorphism(phi)
+    assert folded_inverse(phi) is None
+
+
+def test_fold_inverts_long_images():
+    phi = parse_endomorphism("x1 -> x1 x2^500", 2)
+    assert verify_automorphism(phi).inverse == parse_endomorphism("x1 -> x1 x2^-500", 2)
+
+
+def test_witness_and_root_checks_survive_optimisation():
+    code = textwrap.dedent("""
+        from dataclasses import replace
+        from grouporders.autact import RootDecomposition, ordering_witness
+        from grouporders.words import parse_endomorphism, parse_word
+        if __debug__:
+            raise SystemExit("not running under -O")
+        witness = ordering_witness(parse_endomorphism("x1 -> x1 x2", 2))
+        for build in (lambda: replace(witness, sign_after=witness.sign_before),
+                      lambda: RootDecomposition(parse_word("x1", 2), 0)):
+            try:
+                build()
+            except AssertionError:
+                continue
+            raise SystemExit("a check was dropped")
+    """)
+    path = [str(Path(grouporders.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouporders.errors import ParseError, RankMismatch
+from grouporders.errors import NonAutomorphism, ParseError, RankMismatch
 from grouporders.words import (Automorphism, Endomorphism, ball_words, commutator,
                                generator, identity_word, inner_automorphism,
                                parse_endomorphism, parse_word, word)
@@ -74,9 +74,11 @@ def test_composition_law(ls):
 
 
 def test_automorphism_validates_inverse():
-    with pytest.raises(RankMismatch):
+    with pytest.raises(NonAutomorphism):
         Automorphism(parse_endomorphism("x1 -> x1 x2", 2),
                      parse_endomorphism("x1 -> x1 x2", 2))
+    with pytest.raises(RankMismatch):
+        Automorphism(Endomorphism.identity(2), Endomorphism.identity(3))
     aut = inner_automorphism(parse_word("x1 x2", 2))
     w = parse_word("x2 x1^-1", 2)
     assert aut.inverse.apply(aut.apply(w)) == w
