@@ -8,9 +8,8 @@ and the Klein bottle group where those actions fail to be faithful.
 from .errors import (CapExceeded, CommonRoot, DepthCapExceeded, DepthExceedsCap,
                      DimensionMismatch, EmptyInput, EmptyWord, GroupOrderError,
                      IdentityAutomorphism, IdentityElement, InputError, IsIdentity,
-                     LevelExceedsCap, NegativeCertificate, NoCone, NonAutomorphism,
-                     NoSeparator, NotFoundWithinBall, ParseError, RankMismatch,
-                     ZeroVectorInput)
+                     NegativeCertificate, NoCone, NonAutomorphism, NoSeparator,
+                     NotFoundWithinBall, ParseError, RankMismatch, ZeroVectorInput)
 from .exactlin import (Halfspace, ZeroCombo, classify_cone, kernel_basis,
                        strict_separator)
 from .znord import (FlagOrdering, IntegerAutomorphism, act, flag_sign, gl_witness,

@@ -15,7 +15,8 @@ from functools import lru_cache
 from . import report as report_module
 from .autact import (boundary_separation, common_power, ordering_witness,
                      primitive_root, pulled_sign)
-from .errors import CapExceeded, GroupOrderError, InputError, NegativeCertificate
+from .errors import (CapExceeded, GroupOrderError, InputError, NegativeCertificate,
+                     ParseError)
 from .exactlin import matrix
 from .hall import leading_coords
 from .klein import (KleinOrdering, k_enumerate_orderings, k_mul, k_out_table, k_pull,
@@ -45,6 +46,15 @@ def _parse_matrix(text: str, integer: bool = False):
 
 def _parse_vector(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split())
+
+
+def _parse_klein_ordering(text: str) -> KleinOrdering:
+    """``++``, ``+-``, ``-+``, ``--``, or the ``(+,-)`` form that orderings print."""
+    signs = text[1:-1].split(",") if text[:1] == "(" and text[-1:] == ")" else list(text)
+    if len(signs) != 2 or any(s not in ("+", "-") for s in signs):
+        raise ParseError(f"bad Klein ordering {text!r}: expected ++, +-, -+, -- or (+,-)")
+    eps, delta = (1 if s == "+" else -1 for s in signs)
+    return KleinOrdering(eps, delta)
 
 
 def _read_maybe_file(spec: str) -> str:
@@ -158,7 +168,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p = klein.add_parser("pull", help="pull an ordering back along an automorphism")
     p.add_argument("map", help="e.g. 'x -> x y ; y -> y'")
-    p.add_argument("ordering", help="one of ++, +-, -+, --")
+    p.add_argument("ordering", help="++, +-, -+, -- or the printed form (+,-); "
+                   "-+ and -- read as options, so give them as (-,+) and (-,-)")
     p.add_argument("--json", action="store_true")
     p = klein.add_parser("table", help="Out(K) and its action on the orderings")
     p.add_argument("--json", action="store_true")
@@ -290,10 +301,7 @@ def _run_klein(args) -> int:
               "\n".join(str(o) for o in orderings))
     elif args.command == "pull":
         phi = parse_klein_aut(args.map)
-        text = args.ordering.strip("()")
-        eps = 1 if text[0] == "+" else -1
-        delta = 1 if text[-1] == "+" else -1
-        result = k_pull(phi, KleinOrdering(eps, delta))
+        result = k_pull(phi, _parse_klein_ordering(args.ordering))
         _emit(args, {"eps": result.eps, "delta": result.delta}, str(result))
     elif args.command == "table":
         table = k_out_table()

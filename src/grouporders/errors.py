@@ -96,7 +96,3 @@ class DepthExceedsCap(CapExceeded):
 
 class DepthCapExceeded(CapExceeded):
     pass
-
-
-class LevelExceedsCap(CapExceeded):
-    pass

@@ -18,7 +18,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .errors import DepthExceedsCap, LevelExceedsCap
+from .errors import DepthExceedsCap
 from .series import Monomial, leading_part
 from .words import Endomorphism, Word, commutator, generator
 
@@ -146,14 +146,12 @@ def leading_coords(w: Word, cap: int) -> tuple[int, tuple[int, ...]]:
     return depth, lie_coords(w.rank, depth, part)
 
 
-def induced_matrix(phi: Endomorphism, level: int, cap: int | None = None) -> tuple[tuple[int, ...], ...]:
+def induced_matrix(phi: Endomorphism, level: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of the induced map on the level-th lower-central quotient.
 
     Columns are the coordinates of the images of the weight-``level`` basic
     commutators, so the matrix acts on coordinate columns from the left.
     """
-    if cap is not None and level > cap:
-        raise LevelExceedsCap(f"level {level} exceeds cap {cap}")
     layer = basis_layer(phi.rank, level)
     columns = []
     for b in layer:

@@ -191,7 +191,7 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
             rank = 2 if trial % 2 == 0 else 3
             phi = catalog.random_ia_product(rank, rng)
             for level in range(1, 5):
-                m = induced_matrix(phi.forward, level, 4)
+                m = induced_matrix(phi.forward, level)
                 if m != identity_matrix(layer_rank(rank, level)):
                     return False, f"trial {trial}: nontrivial action at level {level}"
         return True, "50 random IA products trivial at levels 1..4"

@@ -32,6 +32,7 @@ reported as :class:`DepthCapExceeded`, never silently approximated.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -39,8 +40,8 @@ from typing import Sequence
 
 from . import exactlin, hall
 from .errors import (CommonRoot, DepthCapExceeded, DepthExceedsCap, DimensionMismatch,
-                     EmptyWord)
-from .exactlin import strict_separator, vector
+                     EmptyWord, InputError, ParseError)
+from .exactlin import strict_separator
 from .hall import layer_rank, leading_coords, lie_coords, monomials
 from .series import Monomial, leading_part, magnus
 from .words import Word, ball_words, generator, identity_word
@@ -77,7 +78,8 @@ class StandardOrdering:
             raise EmptyWord("the identity has no sign")
         depth, coords = leading_coords(w, self.cap)
         value = flag_sign(self.levels[depth - 1], coords)
-        assert value != 0
+        if value == 0:
+            raise AssertionError(f"flag gave sign 0 to the nonzero coordinates {coords}")
         return value
 
     def opposite(self) -> "StandardOrdering":
@@ -91,8 +93,6 @@ class StandardOrdering:
 
     @classmethod
     def from_json(cls, data) -> "StandardOrdering":
-        if isinstance(data, str):
-            data = json.loads(data)
         return cls(data["rank"], data["class"],
                    tuple(FlagOrdering.from_json(f) for f in data["levels"]))
 
@@ -189,8 +189,6 @@ class TwistedOrdering:
 
     @classmethod
     def from_json(cls, data) -> "TwistedOrdering":
-        if isinstance(data, str):
-            data = json.loads(data)
         return cls(
             rank=data["rank"], cap=data["class"],
             pivot_level=data["pivot_level"],
@@ -206,11 +204,15 @@ Ordering = StandardOrdering | TwistedOrdering
 
 
 def ordering_from_json(data) -> Ordering:
+    """An ordering from its ``to_json`` dict or that dict's JSON text."""
     if isinstance(data, str):
         data = json.loads(data)
-    if data.get("kind") == "twisted":
-        return TwistedOrdering.from_json(data)
-    return StandardOrdering.from_json(data)
+    try:
+        if data.get("kind") == "twisted":
+            return TwistedOrdering.from_json(data)
+        return StandardOrdering.from_json(data)
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+        raise ParseError(f"malformed ordering JSON: {exc!r}") from None
 
 
 def std_sign(ordering: Ordering, w: Word) -> int:
@@ -282,6 +284,8 @@ def verify_cone_axioms(ordering: Ordering, radius: int) -> AxiomReport:
     counterexample, not raised; words or pairs the class cap cannot decide
     are counted as skipped.
     """
+    if radius < 1:
+        raise InputError(f"radius must be at least 1, got {radius}")
     rank = ordering.rank
     # one sign per distinct word (products and conjugates repeat); None: too deep
     signs: dict[tuple[int, ...], int | None] = {}
@@ -341,6 +345,8 @@ def ball_distance(o1: Ordering, o2: Ordering, r_max: int) -> int:
     """Largest r <= r_max on whose ball the two orderings agree entirely."""
     if o1.rank != o2.rank:
         raise DimensionMismatch("orderings live on different free groups")
+    if r_max < 1:
+        raise InputError(f"radius must be at least 1, got {r_max}")
     for r in range(1, r_max + 1):
         for w in ball_words(o1.rank, r):
             if len(w) < r:
@@ -362,32 +368,12 @@ def _word_with_coords(rank: int, level: int, coords: Sequence[int]) -> Word:
     return w
 
 
-def _compositions(total: int, min_part: int):
-    """All ordered compositions of ``total`` into >= 2 parts >= min_part."""
-    def rec(remaining, parts):
-        if parts and remaining == 0:
-            if len(parts) >= 2:
-                yield tuple(parts)
-            return
-        for p in range(min_part, remaining + 1):
-            parts.append(p)
-            yield from rec(remaining - p, parts)
-            parts.pop()
-    yield from rec(total, [])
-
-
-def _concat_products(parts: Sequence[list[dict[Monomial, Fraction]]]) -> list[dict[Monomial, Fraction]]:
-    out = [{(): Fraction(1)}]
-    for options in parts:
-        new = []
-        for acc in out:
-            for opt in options:
-                prod: dict[Monomial, Fraction] = {}
-                for m1, c1 in acc.items():
-                    for m2, c2 in opt.items():
-                        prod[m1 + m2] = prod.get(m1 + m2, Fraction(0)) + c1 * c2
-                new.append(prod)
-        out = new
+def _concat(a: dict[Monomial, Fraction], b: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+    """Concatenation product of two series parts."""
+    out: dict[Monomial, Fraction] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
     return out
 
 
@@ -401,37 +387,34 @@ def _lie_embedding(rank: int, level: int, coords: Sequence[int]) -> dict[Monomia
     return out
 
 
-def _twist_constraints(rank: int, cap: int, d: int, u0: Sequence[int],
+def _twist_constraints(rank: int, d: int, u0: Sequence[int],
                        j: int) -> list[dict[Monomial, Fraction]]:
     """Spanning vectors psi must annihilate for the twist row to be additive
     (and sign-antisymmetric) on the subgroup with level-d coordinates along u0.
 
     Degree-j coefficients of products and inverses of such elements deviate
-    from additivity by sums of concatenation products over compositions of j
-    into parts >= d.  Parts of size d contribute only the direction of u0;
-    parts of size d + 1 contribute Lie elements plus the coefficient vectors
-    of powers of a word realizing u0 (three powers span the family).  Larger
-    parts cannot appear when j <= 2d + 1, the only shape built here.
+    from additivity by concatenation products, one factor per part of a
+    composition of j into parts >= d.  With P the pivot's Lie element: none
+    for j < 2d, P * P for j = 2d, and for j = 2d + 1 P times a degree-(d+1)
+    factor on either side, a Lie element or the part of a power of a word r
+    realizing u0.  Those powers span H, the part of r, and P * P if d = 1.
     """
     if j > 2 * d + 1:
         raise DepthCapExceeded(
             f"twist at pivot level {d} supports degree <= {2 * d + 1}, needed {j}")
-    pivot_vec = _lie_embedding(rank, d, u0)
-    spans: dict[int, list[dict[Monomial, Fraction]]] = {d: [pivot_vec]}
-    if d + 1 <= j - d:
-        realizer = _word_with_coords(rank, d, u0)
-        samples = []
-        for s in (1, 2, 3):
-            samples.append({m: Fraction(c) for m, c in
-                            magnus(realizer ** s, d + 1).graded_part(d + 1).items()})
-        lie = [dict(_lie_embedding(rank, d + 1, row))
-               for row in hall.identity_matrix(layer_rank(rank, d + 1))]
-        spans[d + 1] = lie + samples
-    constraints: list[dict[Monomial, Fraction]] = []
-    for comp in _compositions(j, d):
-        assert all(p in spans for p in comp)
-        constraints.extend(_concat_products([spans[p] for p in comp]))
-    return constraints
+    if j < 2 * d:
+        return []
+    pivot = _lie_embedding(rank, d, u0)
+    if j == 2 * d:
+        return [_concat(pivot, pivot)]
+    lie = [{m: Fraction(x) for m, x in hall.bracket_expansion(b).items()}
+           for b in hall.basis_layer(rank, d + 1)]
+    # degree d+1 of mu(r^s) is s*H + C(s,2)*P*P when d = 1, else s*H
+    realizer = _word_with_coords(rank, d, u0)
+    factors = lie + [magnus(realizer, d + 1).graded_part(d + 1)]
+    if d == 1:
+        factors.append(_concat(pivot, pivot))
+    return [_concat(pivot, v) for v in factors] + [_concat(v, pivot) for v in factors]
 
 
 def build_twisted(rank: int, cap: int, d: int, u0: Sequence[int], j: int,
@@ -443,7 +426,7 @@ def build_twisted(rank: int, cap: int, d: int, u0: Sequence[int], j: int,
     Raises DepthCapExceeded when no admissible psi separates z from the
     constraint space.
     """
-    constraints = _twist_constraints(rank, cap, d, u0, j)
+    constraints = _twist_constraints(rank, d, u0, j)
     mons = monomials(rank, j)
     rows = [tuple(c.get(m, Fraction(0)) for m in mons) for c in constraints]
     rows.append(tuple(Fraction(z_part.get(m, 0)) for m in mons))
@@ -505,18 +488,20 @@ def separate(g: Word, k: Word, cap: int = 5) -> Ordering:
             big_g = g ** a
             big_k = k ** b
             w = big_g * big_k.inverse()
-            assert not w.is_identity()
+            if w.is_identity():
+                raise AssertionError(f"g^{a} = k^{b} with no common power found")
             lead = leading_part(w, cap)
             if lead is None:
                 raise DepthCapExceeded(
                     f"difference of matched powers is deeper than cap {cap}")
             j, z_part = lead
-            u0 = exactlin.scale_to_integers(vector(ug))
-            # g^a has leading coordinates a * ug at depth dg
-            scale = next(Fraction(a * c, u) for c, u in zip(ug, u0) if u)
+            # g^a has leading coordinates a * ug = a * e * u0 at depth dg
+            e = math.gcd(*ug)
+            u0 = tuple(c // e for c in ug)
             ordering = build_twisted(
                 rank, cap, dg, u0, j, z_part=z_part,
                 mu_j_pivot=magnus(big_g, j).graded_part(j),
-                sigma=scale)
-    assert ordering.sign(g) == 1 and ordering.sign(k) == -1
+                sigma=Fraction(a * e))
+    if ordering.sign(g) != 1 or ordering.sign(k) != -1:
+        raise AssertionError(f"{type(ordering).__name__} fails to separate {g} from {k}")
     return ordering

@@ -44,12 +44,14 @@ class Word:
         return Word(self.rank, _reduce(self.letters + other.letters))
 
     def __pow__(self, n: int) -> "Word":
+        """self^n = c w'^n c^-1 for self = c w' c^-1 with w' cyclically reduced,
+        read off self's slices; for n > 0 it is reduced (Lyndon-Schupp, ch. I)."""
         if n < 0:
             return self.inverse() ** (-n)
-        result = identity_word(self.rank)
-        for _ in range(n):
-            result = result * self
-        return result
+        if n == 0:
+            return identity_word(self.rank)
+        w, k = self.letters, self._conjugator_length()
+        return Word(self.rank, w[:k] + w[k:len(w) - k] * n + w[len(w) - k:])
 
     def inverse(self) -> "Word":
         return Word(self.rank, tuple(-x for x in reversed(self.letters)))
@@ -63,14 +65,19 @@ class Word:
     def __len__(self) -> int:
         return len(self.letters)
 
+    def _conjugator_length(self) -> int:
+        """Length of the longest prefix whose mirror suffix is its inverse."""
+        w = self.letters
+        k = 0
+        while 2 * k + 1 < len(w) and w[k] == -w[-1 - k]:
+            k += 1
+        return k
+
     def cyclic_reduce(self) -> tuple["Word", "Word"]:
-        """(core, conjugator) with self == conjugator * core * conjugator^-1."""
-        letters = list(self.letters)
-        prefix: list[int] = []
-        while len(letters) >= 2 and letters[0] == -letters[-1]:
-            prefix.append(letters[0])
-            letters = letters[1:-1]
-        return Word(self.rank, tuple(letters)), Word(self.rank, _reduce(prefix))
+        """(core, conjugator) with self == conjugator * core * conjugator^-1,
+        the conjugator being the prefix of length ``_conjugator_length``."""
+        w, k = self.letters, self._conjugator_length()
+        return Word(self.rank, w[k:len(w) - k]), Word(self.rank, w[:k])
 
     def __str__(self) -> str:
         if not self.letters:

@@ -10,7 +10,6 @@ can be realized with a rational flag.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
@@ -77,8 +76,6 @@ class FlagOrdering:
 
     @classmethod
     def from_json(cls, data) -> "FlagOrdering":
-        if isinstance(data, str):
-            data = json.loads(data)
         return cls(matrix(data["rows"]))
 
     @classmethod
@@ -190,7 +187,7 @@ def complete_flag(first_row) -> FlagOrdering:
     return FlagOrdering((first, *basis))
 
 
-def realize_flag(positives, dimension: int | None = None) -> FlagOrdering:
+def realize_flag(positives) -> FlagOrdering:
     """A flag ordering making every input vector positive.
 
     Succeeds exactly when no nonnegative combination of the inputs vanishes;
@@ -199,10 +196,6 @@ def realize_flag(positives, dimension: int | None = None) -> FlagOrdering:
     the flag is completed with standard basis rows.
     """
     positives = [vector(v) for v in positives]
-    if not positives:
-        if dimension is None:
-            raise DimensionMismatch("dimension required for an empty input")
-        return FlagOrdering.identity(dimension)
     cert = classify_cone(positives)
     if isinstance(cert, exactlin.ZeroCombo):
         raise NoCone("inputs admit a vanishing nonnegative combination", cert)

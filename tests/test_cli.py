@@ -114,6 +114,35 @@ def test_klein_commands(capsys):
     assert "faithful = False" in out
 
 
+@pytest.mark.parametrize("text,expected", [("++", "(-,-)"), ("(+,-)", "(-,+)")])
+def test_klein_pull_reads_both_ordering_forms(capsys, text, expected):
+    code, out, _ = run(capsys, "klein", "pull", "x -> x^-1 ; y -> y^-1", text)
+    assert code == 0 and out.strip() == expected
+
+
+def _one_line_error(code, err, name):
+    assert code == 1
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith(f"{name}: ")
+
+
+@pytest.mark.parametrize("text", ["", "()", "xyz", "+"])
+def test_klein_pull_rejects_malformed_orderings(capsys, text):
+    code, _, err = run(capsys, "klein", "pull", "x -> x y ; y -> y", text)
+    _one_line_error(code, err, "ParseError")
+
+
+@pytest.mark.parametrize("spec", ['{"rank": 2}', '{"rank": 2, "class": 1, "levels": 5}'])
+def test_malformed_ordering_json_exits_1(capsys, spec):
+    code, _, err = run(capsys, "free", "sign", "x1", "--ordering", spec)
+    _one_line_error(code, err, "ParseError")
+
+
+def test_axioms_radius_below_one_exits_1(capsys):
+    code, _, err = run(capsys, "free", "axioms", "--radius", "-1")
+    _one_line_error(code, err, "InputError")
+
+
 def test_klein_mul_large_exponent(capsys):
     code, out, _ = run(capsys, "klein", "mul", "y x^1000000001", "y^2")
     assert code == 0 and out.strip() == "x^1000000001 y"

@@ -1,16 +1,24 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grouporders
+from grouporders import exactlin, hall, stdord
 from grouporders.autact import common_power
-from grouporders.errors import CommonRoot, DepthExceedsCap, EmptyWord, GroupOrderError
+from grouporders.errors import (CommonRoot, DepthCapExceeded, DepthExceedsCap, EmptyWord,
+                                GroupOrderError, InputError, ParseError)
 from grouporders.exactlin import dot, kernel_basis, vector
-from grouporders.hall import layer_rank, leading_coords, lie_coords
+from grouporders.hall import layer_rank, leading_coords, lie_coords, monomials
 from grouporders.report import random_standard_ordering
 from grouporders.series import magnus
 from grouporders.stdord import (AxiomReport, StandardOrdering, TwistedOrdering, ball_distance,
@@ -151,6 +159,14 @@ def test_ball_distance_basics():
     assert ball_distance(LEX, LEX.opposite(), 4) == 0
 
 
+def test_radius_below_one_is_an_input_error():
+    for radius in (0, -1):
+        with pytest.raises(InputError):
+            ball_distance(LEX, LEX, radius)
+        with pytest.raises(InputError):
+            verify_cone_axioms(LEX, radius)
+
+
 def test_ball_distance_level_three_flip():
     # shortest depth-3 word in rank 2 has length 8 (checked exhaustively),
     # so flipping the level-3 flag is invisible through radius 7
@@ -169,6 +185,139 @@ def test_ordering_json_round_trip():
     again = ordering_from_json(twisted.to_json())
     for w in ball_words(2, 3):
         assert again.sign(w) == twisted.sign(w)
+
+
+@pytest.mark.parametrize("data", [
+    {"rank": 2}, {"rank": 2, "class": 1, "levels": 5}, [1], '{"rank": 2}',
+    {"kind": "twisted", "rank": 2, "class": 2, "levels": []},
+    {"rank": 1, "class": 1, "levels": [{"rows": [["1/0"]]}]}])
+def test_malformed_ordering_json_is_a_parse_error(data):
+    with pytest.raises(ParseError, match="malformed ordering JSON"):
+        ordering_from_json(data)
+
+
+def test_sign_and_separation_checks_survive_optimisation():
+    code = textwrap.dedent("""
+        from grouporders import stdord
+        from grouporders.words import parse_word
+        if __debug__:
+            raise SystemExit("not running under -O")
+        x1, x2 = parse_word("x1", 2), parse_word("x2", 2)
+        real_flag_sign = stdord.flag_sign
+        stdord.flag_sign = lambda flag, v: 0
+        try:
+            stdord.identity_ordering(2, 5).sign(x1)
+        except AssertionError:
+            pass
+        else:
+            raise SystemExit("the nonzero-sign check was dropped")
+        stdord.flag_sign = real_flag_sign
+        stdord.StandardOrdering.sign = lambda self, w: 1
+        try:
+            stdord.separate(x1, x2)
+        except AssertionError:
+            pass
+        else:
+            raise SystemExit("the separation check was dropped")
+    """)
+    path = [str(Path(grouporders.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    result = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+
+
+def _compositions(total, min_part):
+    """All ordered compositions of ``total`` into >= 2 parts >= min_part."""
+    def rec(remaining, parts):
+        if parts and remaining == 0:
+            if len(parts) >= 2:
+                yield tuple(parts)
+            return
+        for p in range(min_part, remaining + 1):
+            parts.append(p)
+            yield from rec(remaining - p, parts)
+            parts.pop()
+    yield from rec(total, [])
+
+
+def _concat_products(parts):
+    out = [{(): Fraction(1)}]
+    for options in parts:
+        new = []
+        for acc in out:
+            for opt in options:
+                prod = {}
+                for m1, c1 in acc.items():
+                    for m2, c2 in opt.items():
+                        prod[m1 + m2] = prod.get(m1 + m2, Fraction(0)) + c1 * c2
+                new.append(prod)
+        out = new
+    return out
+
+
+def _composition_twist_constraints(rank, d, u0, j):
+    """Reference: concatenation products over every composition of j into
+    parts >= d, with the degree-(d+1) factors sampled from three powers."""
+    spans = {d: [stdord._lie_embedding(rank, d, u0)]}
+    if d + 1 <= j - d:
+        realizer = stdord._word_with_coords(rank, d, u0)
+        samples = [{m: Fraction(c) for m, c in
+                    magnus(realizer ** s, d + 1).graded_part(d + 1).items()}
+                   for s in (1, 2, 3)]
+        lie = [dict(stdord._lie_embedding(rank, d + 1, row))
+               for row in hall.identity_matrix(layer_rank(rank, d + 1))]
+        spans[d + 1] = lie + samples
+    constraints = []
+    for comp in _compositions(j, d):
+        assert all(p in spans for p in comp)
+        constraints.extend(_concat_products([spans[p] for p in comp]))
+    return constraints
+
+
+def _primitive_pivots(n):
+    """Primitive level vectors of dimension n, most with negative entries."""
+    pivots = {tuple(1 if i == 0 else 0 for i in range(n)),
+              tuple(-1 if i == n - 1 else 0 for i in range(n)),
+              tuple((-1) ** i * (i + 1) for i in range(n)),
+              tuple(2 if i == 0 else -3 for i in range(n))}
+    return sorted(pivots)
+
+
+TWIST_CASES = [(r, d, u0, j) for r, d in itertools.product((2, 3), (1, 2))
+               for j in range(d + 1, 2 * d + 2)
+               for u0 in _primitive_pivots(layer_rank(r, d))]
+
+
+@pytest.mark.parametrize("r,d,u0,j", TWIST_CASES, ids=[
+    f"F{r}-d{d}-u{','.join(map(str, u0))}-j{j}" for r, d, u0, j in TWIST_CASES])
+def test_twist_constraints_span_the_composition_reference(r, d, u0, j, monkeypatch):
+    mons = monomials(r, j)
+
+    def rows(constraints):
+        return [tuple(c.get(m, Fraction(0)) for m in mons) for c in constraints]
+
+    closed = rows(stdord._twist_constraints(r, d, u0, j))
+    reference = rows(_composition_twist_constraints(r, d, u0, j))
+    assert exactlin.rank(closed) == exactlin.rank(reference) == \
+        exactlin.rank(closed + reference)
+
+    def twists(constraints_fn):
+        monkeypatch.setattr(stdord, "_twist_constraints", constraints_fn)
+        pivot = stdord._word_with_coords(r, d, u0)
+        mu_j_pivot = magnus(pivot, j).graded_part(j)
+        out = []
+        for b in hall.basis_layer(r, j)[:3]:
+            z_part = magnus(hall.bracket_word(r, b), j).graded_part(j)
+            try:
+                o = stdord.build_twisted(r, 5, d, u0, j, z_part, mu_j_pivot, Fraction(3))
+                out.append((o.psi, o.alpha))
+            except DepthCapExceeded as exc:
+                out.append(str(exc))
+        return out
+
+    closed_form = stdord._twist_constraints
+    assert twists(closed_form) == twists(_composition_twist_constraints)
 
 
 def _unmemoized_axioms(ordering, radius):

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouporders.errors import NonAutomorphism, ParseError, RankMismatch
-from grouporders.words import (Automorphism, Endomorphism, ball_words, commutator,
+from grouporders.words import (Automorphism, Endomorphism, Word, ball_words, commutator,
                                generator, identity_word, inner_automorphism,
                                parse_endomorphism, parse_word, word)
 
@@ -50,6 +50,36 @@ raw_words = st.lists(letters, max_size=8)
 def test_multiplication_associative_via_reduction(a, b):
     u, v = word(2, a), word(2, b)
     assert (u * v).inverse() == v.inverse() * u.inverse()
+
+
+# c u c^-1 before reduction, so many draws are not cyclically reduced
+conjugated_words = st.tuples(raw_words, raw_words).map(
+    lambda cu: word(2, cu[0] + cu[1] + [-x for x in reversed(cu[0])]))
+
+
+def _repeated_power(w: Word, n: int) -> Word:
+    base = w if n >= 0 else w.inverse()
+    result = identity_word(w.rank)
+    for _ in range(abs(n)):
+        result = result * base
+    return result
+
+
+def _stripping_cyclic_reduce(w: Word) -> tuple[Word, Word]:
+    """Reference: strip one inverse pair of end letters per step."""
+    letters = list(w.letters)
+    prefix: list[int] = []
+    while len(letters) >= 2 and letters[0] == -letters[-1]:
+        prefix.append(letters[0])
+        letters = letters[1:-1]
+    return Word(w.rank, tuple(letters)), word(w.rank, prefix)
+
+
+@settings(max_examples=200, deadline=None)
+@given(conjugated_words, st.integers(-6, 6))
+def test_closed_form_power_matches_repeated_products(w, n):
+    assert w ** n == _repeated_power(w, n)
+    assert w.cyclic_reduce() == _stripping_cyclic_reduce(w)
 
 
 def test_apply_examples():
