@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, EmptyInput, NoSeparator, ZeroVectorInput
+from .errors import DimensionMismatch, EmptyInput, NoSeparator, ParseError, ZeroVectorInput
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -35,7 +35,10 @@ Matrix = tuple[Vector, ...]
 
 def vector(entries: Iterable) -> Vector:
     """Coerce ints / strings like ``"3/4"`` / Fractions to an exact vector."""
-    return tuple(Fraction(e) for e in entries)
+    try:
+        return tuple(Fraction(e) for e in entries)
+    except ZeroDivisionError as exc:
+        raise ParseError(f"zero denominator: {exc}") from None
 
 
 def matrix(rows: Iterable[Iterable]) -> Matrix:
@@ -215,7 +218,8 @@ def _find_zero_combo(vs: Sequence[Vector]) -> ZeroCombo | None:
                 for idx, c in zip(subset, ints):
                     coeffs[idx] = c
                 combo = ZeroCombo(tuple(coeffs))
-                assert combo.holds_for(vs)
+                if not combo.holds_for(vs):
+                    raise AssertionError(f"{combo} does not vanish on {vs}")
                 return combo
     return None
 
@@ -297,9 +301,11 @@ def classify_cone(vs: Sequence) -> ConeCertificate:
     n = len(vs[0])
     constraints = [(v, Fraction(1)) for v in vs]
     f = solve_inequalities(constraints, n)
-    assert f is not None, "no zero combination and no strict functional"
+    if f is None:
+        raise AssertionError("no zero combination and no strict functional")
     cert = Halfspace(f)
-    assert cert.strict_for(vs)
+    if not cert.strict_for(vs):
+        raise AssertionError(f"{cert} is not strictly positive on {vs}")
     return cert
 
 
@@ -320,5 +326,6 @@ def strict_separator(pos: Sequence, neg: Sequence) -> Vector:
     f = solve_inequalities(constraints, n)
     if f is None:
         raise NoSeparator(f"no functional strictly separates {pos} from {neg}")
-    assert all(dot(f, p) > 0 for p in pos) and all(dot(f, q) < 0 for q in neg)
+    if any(dot(f, p) <= 0 for p in pos) or any(dot(f, q) >= 0 for q in neg):
+        raise AssertionError(f"functional {f} does not strictly separate {pos} from {neg}")
     return f

@@ -19,22 +19,31 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import DepthExceedsCap
-from .series import Monomial, leading_part
+from .series import Monomial, concat, leading_part
 from .words import Endomorphism, Word, commutator, generator
 
 # A bracket is either a generator index or a pair of brackets.
 Bracket = int | tuple
 
 
-def _is_lyndon(w: tuple[int, ...]) -> bool:
-    return bool(w) and all(w < w[i:] for i in range(1, len(w)))
-
-
 @lru_cache(maxsize=None)
 def lyndon_words(rank: int, weight: int) -> tuple[tuple[int, ...], ...]:
-    """All Lyndon words of the given length, lexicographically ordered."""
-    return tuple(w for w in product(range(1, rank + 1), repeat=weight)
-                 if _is_lyndon(w))
+    """All Lyndon words of the given length, lexicographically ordered.
+
+    Duval's step to the next Lyndon word of length <= weight: repeat the word
+    to length weight, drop trailing letters equal to rank, raise the last.
+    """
+    words = []
+    w = [1] if rank > 0 else []
+    while w:
+        if len(w) == weight:
+            words.append(tuple(w))
+        w = [w[i % len(w)] for i in range(weight)]
+        while w and w[-1] == rank:
+            w.pop()
+        if w:
+            w[-1] += 1
+    return tuple(words)
 
 
 @lru_cache(maxsize=None)
@@ -69,11 +78,9 @@ def bracket_expansion(b: Bracket) -> dict[Monomial, int]:
         return {(b,): 1}
     left = bracket_expansion(b[0])
     right = bracket_expansion(b[1])
-    out: dict[Monomial, int] = {}
-    for m1, c1 in left.items():
-        for m2, c2 in right.items():
-            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
-            out[m2 + m1] = out.get(m2 + m1, 0) - c1 * c2
+    out = concat(left, right)
+    for m, c in concat(right, left).items():
+        out[m] = out.get(m, 0) - c
     return {m: c for m, c in out.items() if c != 0}
 
 

@@ -295,15 +295,16 @@ def k_out_table() -> OutTable:
     # distinct outer classes: representatives pairwise non-inner-related
     for m in names:
         for n in names:
-            if m != n:
-                assert is_inner(reps[m].compose(reps[n].inverse())) is None
+            if m != n and is_inner(reps[m].compose(reps[n].inverse())) is not None:
+                raise AssertionError(f"representatives {m} and {n} share an outer class")
     multiplication = {}
     for m in names:
         for n in names:
             prod = reps[m].compose(reps[n])
             matches = [c for c in names
                        if is_inner(prod.compose(reps[c].inverse())) is not None]
-            assert len(matches) == 1
+            if len(matches) != 1:
+                raise AssertionError(f"{m} * {n} lies in the outer classes {matches}")
             multiplication[(m, n)] = matches[0]
     actions = {}
     for name in names:
@@ -314,34 +315,25 @@ def k_out_table() -> OutTable:
         actions[name] = tuple(perm)
     kernel = tuple(n for n in names if actions[n] == tuple(range(4)))
     conj_y = inner_by(KleinElement(0, 1))
-    assert not conj_y.is_identity()
-    assert all(k_pull(conj_y, o) == o for o in orderings)
-    # conjugation orbits of the four cones under the group itself
-    orbit_map = {}
-    for idx, ordering in enumerate(orderings):
-        targets = {idx}
-        for c in (KleinElement(1, 0), KleinElement(0, 1)):
-            targets.add(orderings.index(k_pull(inner_by(c), ordering)))
-        orbit_map[idx] = targets
-    seen: set[int] = set()
-    orbits = []
-    for idx in range(4):
-        if idx in seen:
-            continue
-        orbit = {idx}
-        frontier = orbit_map[idx] - orbit
-        while frontier:
-            orbit |= frontier
-            frontier = set().union(*(orbit_map[i] for i in orbit)) - orbit
-        seen |= orbit
-        orbits.append(tuple(sorted(orbit)))
+    if conj_y.is_identity() or any(k_pull(conj_y, o) != o for o in orderings):
+        raise AssertionError("conjugation by y must be nontrivial and fix every cone")
+    # conjugation orbits of the cones: each cone and its pulls by x and y,
+    # closed to a fixed point; disjoint, so sorted by smallest index
+    step = [{idx} | {orderings.index(k_pull(inner_by(c), ordering))
+                     for c in (KleinElement(1, 0), KleinElement(0, 1))}
+            for idx, ordering in enumerate(orderings)]
+    orbits = set()
+    for orbit in step:
+        while (grown := orbit.union(*(step[i] for i in orbit))) != orbit:
+            orbit = grown
+        orbits.add(tuple(sorted(orbit)))
     return OutTable(
         class_names=names,
         multiplication=multiplication,
         actions=actions,
         action_kernel=kernel,
         inner_fixing_everything=KleinElement(0, 1),
-        conjugacy_orbits=tuple(orbits),
+        conjugacy_orbits=tuple(sorted(orbits)),
     )
 
 

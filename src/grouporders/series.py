@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import EmptyWord
+from .errors import DimensionMismatch, EmptyWord
 from .words import Word
 
 Monomial = tuple[int, ...]
@@ -32,26 +32,13 @@ class TruncatedSeries:
         cleaned = {m: c for m, c in self.coeffs.items() if c != 0 and len(m) <= self.cap}
         object.__setattr__(self, "coeffs", cleaned)
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, TruncatedSeries)
-                and self.rank == other.rank
-                and self.cap == other.cap
-                and self.coeffs == other.coeffs)
-
     def __hash__(self):
         return hash((self.rank, self.cap, frozenset(self.coeffs.items())))
 
     def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        assert self.rank == other.rank and self.cap == other.cap
-        out: dict[Monomial, int] = {}
-        for m1, c1 in self.coeffs.items():
-            room = self.cap - len(m1)
-            for m2, c2 in other.coeffs.items():
-                if len(m2) > room:
-                    continue
-                m = m1 + m2
-                out[m] = out.get(m, 0) + c1 * c2
-        return TruncatedSeries(self.rank, self.cap, out)
+        if self.rank != other.rank or self.cap != other.cap:
+            raise DimensionMismatch("series factors need equal rank and cap")
+        return TruncatedSeries(self.rank, self.cap, concat(self.coeffs, other.coeffs, self.cap))
 
     def is_one(self) -> bool:
         return self.coeffs == {(): 1}
@@ -83,6 +70,18 @@ class TruncatedSeries:
                 parts.append(f"- {-c} {name}".rstrip() if m else f"- {-c}")
         text = " ".join(parts)
         return text[2:] if text.startswith("+ ") else text
+
+
+def concat(a: Mapping[Monomial, int], b: Mapping[Monomial, int],
+           cap: int | None = None) -> dict[Monomial, int]:
+    """Concatenation product of two monomial dicts, without degrees above cap
+    and without zero coefficients."""
+    out: dict[Monomial, int] = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            if cap is None or len(m1) + len(m2) <= cap:
+                out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
 
 
 def one(rank: int, cap: int) -> TruncatedSeries:

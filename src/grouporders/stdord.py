@@ -43,7 +43,7 @@ from .errors import (CommonRoot, DepthCapExceeded, DepthExceedsCap, DimensionMis
                      EmptyWord, InputError, ParseError)
 from .exactlin import strict_separator
 from .hall import layer_rank, leading_coords, lie_coords, monomials
-from .series import Monomial, leading_part, magnus
+from .series import Monomial, concat, leading_part, magnus
 from .words import Word, ball_words, generator, identity_word
 from .znord import FlagOrdering, complete_flag, flag_sign, positive_ratio
 
@@ -211,7 +211,7 @@ def ordering_from_json(data) -> Ordering:
         if data.get("kind") == "twisted":
             return TwistedOrdering.from_json(data)
         return StandardOrdering.from_json(data)
-    except (KeyError, TypeError, AttributeError, ZeroDivisionError) as exc:
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError, ParseError) as exc:
         raise ParseError(f"malformed ordering JSON: {exc!r}") from None
 
 
@@ -347,12 +347,9 @@ def ball_distance(o1: Ordering, o2: Ordering, r_max: int) -> int:
         raise DimensionMismatch("orderings live on different free groups")
     if r_max < 1:
         raise InputError(f"radius must be at least 1, got {r_max}")
-    for r in range(1, r_max + 1):
-        for w in ball_words(o1.rank, r):
-            if len(w) < r:
-                continue
-            if o1.sign(w) != o2.sign(w):
-                return r - 1
+    for w in ball_words(o1.rank, r_max):  # in order of length
+        if o1.sign(w) != o2.sign(w):
+            return len(w) - 1
     return r_max
 
 
@@ -368,27 +365,18 @@ def _word_with_coords(rank: int, level: int, coords: Sequence[int]) -> Word:
     return w
 
 
-def _concat(a: dict[Monomial, Fraction], b: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-    """Concatenation product of two series parts."""
-    out: dict[Monomial, Fraction] = {}
-    for m1, c1 in a.items():
-        for m2, c2 in b.items():
-            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
-    return out
-
-
-def _lie_embedding(rank: int, level: int, coords: Sequence[int]) -> dict[Monomial, Fraction]:
-    out: dict[Monomial, Fraction] = {}
+def _lie_embedding(rank: int, level: int, coords: Sequence[int]) -> dict[Monomial, int]:
+    out: dict[Monomial, int] = {}
     for b, c in zip(hall.basis_layer(rank, level), coords):
         if not c:
             continue
         for m, x in hall.bracket_expansion(b).items():
-            out[m] = out.get(m, Fraction(0)) + c * x
+            out[m] = out.get(m, 0) + c * x
     return out
 
 
 def _twist_constraints(rank: int, d: int, u0: Sequence[int],
-                       j: int) -> list[dict[Monomial, Fraction]]:
+                       j: int) -> list[dict[Monomial, int]]:
     """Spanning vectors psi must annihilate for the twist row to be additive
     (and sign-antisymmetric) on the subgroup with level-d coordinates along u0.
 
@@ -406,15 +394,14 @@ def _twist_constraints(rank: int, d: int, u0: Sequence[int],
         return []
     pivot = _lie_embedding(rank, d, u0)
     if j == 2 * d:
-        return [_concat(pivot, pivot)]
-    lie = [{m: Fraction(x) for m, x in hall.bracket_expansion(b).items()}
-           for b in hall.basis_layer(rank, d + 1)]
+        return [concat(pivot, pivot)]
+    lie = [hall.bracket_expansion(b) for b in hall.basis_layer(rank, d + 1)]
     # degree d+1 of mu(r^s) is s*H + C(s,2)*P*P when d = 1, else s*H
     realizer = _word_with_coords(rank, d, u0)
     factors = lie + [magnus(realizer, d + 1).graded_part(d + 1)]
     if d == 1:
-        factors.append(_concat(pivot, pivot))
-    return [_concat(pivot, v) for v in factors] + [_concat(v, pivot) for v in factors]
+        factors.append(concat(pivot, pivot))
+    return [concat(pivot, v) for v in factors] + [concat(v, pivot) for v in factors]
 
 
 def build_twisted(rank: int, cap: int, d: int, u0: Sequence[int], j: int,
@@ -426,12 +413,9 @@ def build_twisted(rank: int, cap: int, d: int, u0: Sequence[int], j: int,
     Raises DepthCapExceeded when no admissible psi separates z from the
     constraint space.
     """
-    constraints = _twist_constraints(rank, d, u0, j)
     mons = monomials(rank, j)
-    rows = [tuple(c.get(m, Fraction(0)) for m in mons) for c in constraints]
-    rows.append(tuple(Fraction(z_part.get(m, 0)) for m in mons))
-    rhs = [Fraction(0)] * len(constraints) + [Fraction(1)]
-    solution = exactlin.solve_linear(rows, rhs)
+    rows = [[c.get(m, 0) for m in mons] for c in _twist_constraints(rank, d, u0, j) + [z_part]]
+    solution = exactlin.solve_linear(rows, [0] * (len(rows) - 1) + [1])
     if solution is None:
         raise DepthCapExceeded(
             "difference word is not separable from the twist constraint space")

@@ -115,6 +115,7 @@ def commutator(u: Word, v: Word) -> Word:
 
 
 _TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
+MAX_WORD_LETTERS = 10**6  # parse_word refuses to spell out longer words
 
 
 def parse_word(text: str, rank: int | None = None) -> Word:
@@ -137,6 +138,8 @@ def parse_word(text: str, rank: int | None = None) -> Word:
         if index < 1:
             raise ParseError(f"bad generator index in {token!r}")
         max_index = max(max_index, index)
+        if len(letters) + abs(power) > MAX_WORD_LETTERS:
+            raise ParseError(f"word longer than {MAX_WORD_LETTERS} letters at {token!r}")
         letters.extend([index if power > 0 else -index] * abs(power))
     if rank is None:
         rank = max_index

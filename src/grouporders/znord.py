@@ -200,7 +200,8 @@ def realize_flag(positives) -> FlagOrdering:
     if isinstance(cert, exactlin.ZeroCombo):
         raise NoCone("inputs admit a vanishing nonnegative combination", cert)
     flag = complete_flag(cert.functional)
-    assert all(flag_sign(flag, v) == 1 for v in positives)
+    if any(flag_sign(flag, v) != 1 for v in positives):
+        raise AssertionError(f"flag {flag} does not make every input positive")
     return flag
 
 
@@ -224,7 +225,8 @@ def gl_witness(a: IntegerAutomorphism) -> tuple[FlagOrdering, tuple[int, ...]]:
         if positive_ratio(v, image) is not None:
             continue
         flag = realize_flag([v, tuple(-x for x in image)])
-        assert flag_sign(flag, v) == 1 and flag_sign(flag, image) == -1
+        if flag_sign(flag, v) != 1 or flag_sign(flag, image) != -1:
+            raise AssertionError(f"flag {flag} does not separate {v} from its image {image}")
         return flag, v
     raise AssertionError("unreachable: every non-identity matrix has a radius-1 witness")
 

@@ -250,3 +250,13 @@ def test_pinned_outputs(capsys):
         "inner_fixing_everything": "y",
         "conjugacy_orbits": [[0, 1], [2, 3]],
     }
+
+
+@pytest.mark.parametrize("argv", [
+    ("zn", "sign", "--matrix", "1/0", "--vector", "1"),
+    ("zn", "act", "--matrix", "0 1; 1 0", "--flag", "1/0 0; 0 1"),
+    ("free", "depth", "x1^1000000000000"),
+])
+def test_zero_denominators_and_overlong_words_exit_one(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    _one_line_error(code, err, "ParseError")

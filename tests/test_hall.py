@@ -188,3 +188,36 @@ def test_bracket_words_decompose_to_unit_vectors():
                 part = magnus(bracket_word(rank, b), weight).graded_part(weight)
                 assert decompose_lie(rank, weight, part) == \
                     tuple(1 if j == i else 0 for j in range(len(layer)))
+
+
+def _reference_bracket_expansion(b):
+    """The double loop of bracket_expansion before concat."""
+    if isinstance(b, int):
+        return {(b,): 1}
+    left = _reference_bracket_expansion(b[0])
+    right = _reference_bracket_expansion(b[1])
+    out = {}
+    for m1, c1 in left.items():
+        for m2, c2 in right.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+            out[m2 + m1] = out.get(m2 + m1, 0) - c1 * c2
+    return {m: c for m, c in out.items() if c != 0}
+
+
+@pytest.mark.parametrize("rank,top", PLACES)
+def test_bracket_expansion_matches_the_double_loop(rank, top):
+    for weight in range(1, top + 1):
+        for b in basis_layer(rank, weight):
+            assert bracket_expansion(b) == _reference_bracket_expansion(b)
+
+
+def _is_lyndon(w):
+    return bool(w) and all(w < w[i:] for i in range(1, len(w)))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_lyndon_words_match_the_lyndon_filter(rank):
+    for weight in range(0, 9):
+        assert lyndon_words(rank, weight) == tuple(
+            w for w in product(range(1, rank + 1), repeat=weight) if _is_lyndon(w))
+    assert lyndon_words(0, 3) == ()

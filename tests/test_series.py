@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouporders.errors import EmptyWord
-from grouporders.series import TruncatedSeries, lcs_depth, leading_part, magnus, one
+from grouporders.errors import DimensionMismatch, EmptyWord
+from grouporders.series import TruncatedSeries, concat, lcs_depth, leading_part, magnus, one
 from grouporders.words import commutator, generator, identity_word, parse_word, word
 
 
@@ -115,3 +115,63 @@ def test_series_str_and_one():
     assert str(one(2, 3)) == "1"
     s = TruncatedSeries(2, 2, {(): 1, (1, 2): 1, (2, 1): -1})
     assert str(s) == "1 + X1 X2 - X2 X1"
+
+
+def _reference_mul(a, b, cap):
+    """The product loop of TruncatedSeries.__mul__ before concat."""
+    out = {}
+    for m1, c1 in a.items():
+        room = cap - len(m1)
+        for m2, c2 in b.items():
+            if len(m2) > room:
+                continue
+            m = m1 + m2
+            out[m] = out.get(m, 0) + c1 * c2
+    return out
+
+
+def _reference_concat(a, b):
+    """The uncapped product the twist constraints used before concat."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    return out
+
+
+def _nonzero(d):
+    return {m: c for m, c in d.items() if c != 0}
+
+
+monomial_dicts = st.dictionaries(st.lists(st.integers(1, 3), max_size=4).map(tuple),
+                                 st.integers(-3, 3), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_dicts, monomial_dicts, st.one_of(st.none(), st.integers(1, 6)))
+def test_concat_matches_the_old_products(a, b, cap):
+    product = concat(a, b, cap)
+    if cap is None:
+        assert product == _nonzero(_reference_concat(a, b))
+        return
+    assert product == _nonzero(_reference_mul(a, b, cap))
+    sa, sb = TruncatedSeries(3, cap, a), TruncatedSeries(3, cap, b)
+    assert (sa * sb).coeffs == _nonzero(_reference_mul(sa.coeffs, sb.coeffs, cap))
+
+
+def test_series_product_needs_equal_rank_and_cap():
+    x1 = magnus(generator(2, 1), 3)
+    with pytest.raises(DimensionMismatch):
+        x1 * magnus(generator(2, 1), 4)
+    with pytest.raises(DimensionMismatch):
+        x1 * magnus(generator(3, 1), 3)
+
+
+def test_series_equality_and_hash():
+    s = TruncatedSeries(2, 3, {(): 1, (1,): 2, (2, 1): 0})
+    same = TruncatedSeries(2, 3, {(1,): 2, (): 1})
+    assert s == same and hash(s) == hash(same)
+    assert s != TruncatedSeries(3, 3, same.coeffs)
+    assert s != TruncatedSeries(2, 4, same.coeffs)
+    assert s != TruncatedSeries(2, 3, {(): 1})
+    assert s != "1 + 2 X1"

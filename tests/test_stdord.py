@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 import grouporders
 from grouporders import exactlin, hall, stdord
 from grouporders.autact import common_power
-from grouporders.errors import (CommonRoot, DepthCapExceeded, DepthExceedsCap, EmptyWord,
-                                GroupOrderError, InputError, ParseError)
+from grouporders.errors import (CommonRoot, DepthCapExceeded, DepthExceedsCap,
+                                DimensionMismatch, EmptyWord, GroupOrderError, InputError,
+                                ParseError)
 from grouporders.exactlin import dot, kernel_basis, vector
 from grouporders.hall import layer_rank, leading_coords, lie_coords, monomials
 from grouporders.report import random_standard_ordering
@@ -174,6 +175,49 @@ def test_ball_distance_level_three_flip():
     levels[2] = opposite(levels[2])
     flipped = StandardOrdering(2, 5, tuple(levels))
     assert ball_distance(LEX, flipped, 8) == 7
+
+
+def _per_radius_ball_distance(o1, o2, r_max):
+    """The per-radius rescan ball_distance ran before its single pass."""
+    if o1.rank != o2.rank:
+        raise DimensionMismatch("orderings live on different free groups")
+    if r_max < 1:
+        raise InputError(f"radius must be at least 1, got {r_max}")
+    for r in range(1, r_max + 1):
+        for w in ball_words(o1.rank, r):
+            if len(w) < r:
+                continue
+            if o1.sign(w) != o2.sign(w):
+                return r - 1
+    return r_max
+
+
+def _distance_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except GroupOrderError as exc:
+        return type(exc), str(exc)
+
+
+def test_ball_distance_matches_the_per_radius_rescan():
+    twisted = [separate(parse_word(g, 2), parse_word(k, 2))
+               for g, k in [("x1 x2", "x2 x1"), ("x2 x1", "x1 x2"),
+                            ("x1 x2 x1", "x1^2 x2")]]
+    assert all(isinstance(o, TwistedOrdering) for o in twisted)
+    standard = [random_standard_ordering(2, cap, random.Random(seed))
+                for seed, cap in [(0, 5), (1, 5), (2, 3), (3, 2), (4, 1)]]
+    orderings = twisted + standard + [LEX, LEX.opposite(), identity_ordering(2, 1),
+                                      identity_ordering(3, 3)]
+    for o1, o2 in itertools.product(orderings, repeat=2):
+        for r_max in (0, 1, 2, 4):
+            assert _distance_outcome(ball_distance, o1, o2, r_max) == \
+                _distance_outcome(_per_radius_ball_distance, o1, o2, r_max)
+    shallow, deep = identity_ordering(2, 1), identity_ordering(2, 5)
+    assert ball_distance(shallow, deep, 3) == 3
+    with pytest.raises(DepthExceedsCap):
+        ball_distance(shallow, deep, 4)
+    assert _distance_outcome(ball_distance, shallow, deep, 4) == \
+        _distance_outcome(_per_radius_ball_distance, shallow, deep, 4)
 
 
 def test_ordering_json_round_trip():

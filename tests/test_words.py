@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouporders.errors import NonAutomorphism, ParseError, RankMismatch
-from grouporders.words import (Automorphism, Endomorphism, Word, ball_words, commutator,
-                               generator, identity_word, inner_automorphism,
+from grouporders.words import (MAX_WORD_LETTERS, Automorphism, Endomorphism, Word, ball_words,
+                               commutator, generator, identity_word, inner_automorphism,
                                parse_endomorphism, parse_word, word)
 
 
@@ -130,3 +130,12 @@ def test_commutator_shape():
 def test_identity_word_is_neutral():
     w = parse_word("x1 x2^2", 2)
     assert identity_word(2) * w == w == w * identity_word(2)
+
+
+def test_parse_word_bounds_the_letter_count():
+    w = parse_word("x1^600000 x2^400000")
+    assert len(w) == MAX_WORD_LETTERS == 10**6
+    with pytest.raises(ParseError, match="longer than 1000000 letters at 'x1'"):
+        parse_word("x1^600000 x2^400000 x1")
+    with pytest.raises(ParseError, match="longer than"):
+        parse_word("x2 x1^-1000000000000", 2)
