@@ -17,65 +17,18 @@ pairs at infinity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 
-from .errors import (DepthCapExceeded, EmptyWord, IdentityAutomorphism,
-                     NonAutomorphism, NotFoundWithinBall)
+from .errors import (DepthCapExceeded, IdentityAutomorphism, NonAutomorphism,
+                     NotFoundWithinBall)
 from .hall import identity_matrix, induced_matrix
 from .stdord import (Ordering, StandardOrdering, identity_levels, separate,
                      std_sign)
-from .words import Automorphism, Endomorphism, Word, ball_words, generator
+# RootDecomposition and primitive_root are re-exported for callers of autact
+from .words import (Automorphism, Endomorphism, RootDecomposition, Word, ball_words,
+                    common_power, generator, primitive_root)
 from .znord import IntegerAutomorphism, gl_witness
 
 WITNESS_RADIUS = 3  # ball searched by ordering_witness for a word an IA map moves
-
-
-@dataclass(frozen=True)
-class RootDecomposition:
-    root: Word
-    exponent: int
-
-    def __post_init__(self):
-        if self.exponent < 1 or self.root.is_identity():
-            raise AssertionError(f"({self.root})^{self.exponent} is no root decomposition")
-
-
-def primitive_root(w: Word) -> RootDecomposition:
-    """(h, m) with h^m == w, m maximal, via cyclic reduction and periodicity."""
-    if w.is_identity():
-        raise EmptyWord("the identity has no primitive root")
-    core, conj = w.cyclic_reduce()
-    n = len(core)
-    for p in range(1, n + 1):
-        if n % p:
-            continue
-        if core.letters == core.letters[:p] * (n // p):
-            root_core = Word(w.rank, core.letters[:p])
-            root = conj * root_core * conj.inverse()
-            m = n // p
-            if root ** m != w:
-                raise AssertionError(f"({root})^{m} is not {w}")
-            return RootDecomposition(root, m)
-    raise AssertionError("unreachable: every word is a power of itself")
-
-
-def common_power(g: Word, k: Word) -> tuple[int, int] | None:
-    """Minimal (a, b) with g^a == k^b and a, b > 0, else None.
-
-    In a free group such powers exist exactly when the primitive roots
-    coincide as reduced words.
-    """
-    if g.is_identity() or k.is_identity():
-        raise EmptyWord("common powers are defined for nonempty words")
-    rg = primitive_root(g)
-    rk = primitive_root(k)
-    if rg.root != rk.root:
-        return None
-    m = rg.exponent * rk.exponent // gcd(rg.exponent, rk.exponent)
-    a, b = m // rg.exponent, m // rk.exponent
-    if g ** a != k ** b:
-        raise AssertionError(f"({g})^{a} is not ({k})^{b}")
-    return a, b
 
 
 def _as_endomorphism(phi) -> Endomorphism:

@@ -65,7 +65,7 @@ def _read_maybe_file(spec: str) -> str:
 
 
 def _load_ordering(args) -> object:
-    spec = getattr(args, "ordering", None) or "lex"
+    spec = args.ordering or "lex"
     if spec == "lex":
         return identity_ordering(args.rank, args.cap)
     return ordering_from_json(_read_maybe_file(spec))
@@ -76,8 +76,8 @@ def _rows_text(rows) -> str:
     return "; ".join(" ".join(str(x) for x in row) for row in rows)
 
 
-def _emit(args, payload: dict, human: str) -> None:
-    if getattr(args, "json", False):
+def _emit(args, payload, human: str) -> None:
+    if args.json:
         print(json.dumps(payload, indent=2))
     else:
         print(human)
@@ -85,99 +85,88 @@ def _emit(args, payload: dict, human: str) -> None:
 
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing does not change it."""
+    """The argument parser, built once per process; parsing does not change it.
+
+    Each command group's parser carries its runner as ``run``.
+    """
     parser = argparse.ArgumentParser(
         prog="grouporders",
         description="exact computations with left-invariant group orderings")
     top = parser.add_subparsers(dest="group", required=True)
 
-    zn = top.add_parser("zn", help="flag orderings on Z^n").add_subparsers(
-        dest="command", required=True)
+    def group(name, help_text, run):
+        p = top.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        return p.add_subparsers(dest="command", required=True)
+
+    zn = group("zn", "flag orderings on Z^n", _run_zn)
     p = zn.add_parser("sign", help="sign of a vector under a flag ordering")
     p.add_argument("--matrix", required=True, help="flag rows, e.g. '1 0; 0 1'")
     p.add_argument("--vector", required=True, help="integer vector, e.g. '2 -1'")
-    p.add_argument("--json", action="store_true")
     p = zn.add_parser("act", help="pull a flag ordering back along a matrix")
     p.add_argument("--matrix", required=True, help="integer matrix with det +-1")
     p.add_argument("--flag", required=True, help="flag rows")
-    p.add_argument("--json", action="store_true")
     p = zn.add_parser("witness", help="ordering and vector moved by a matrix")
     p.add_argument("--matrix", required=True)
-    p.add_argument("--json", action="store_true")
     p = zn.add_parser("realize", help="flag ordering making all vectors positive")
     p.add_argument("--vectors", required=True, help="rows, e.g. '1 0; -1 1'")
-    p.add_argument("--json", action="store_true")
 
-    free = top.add_parser("free", help="orderings of free groups").add_subparsers(
-        dest="command", required=True)
+    free = group("free", "orderings of free groups", _run_free)
     for name, extra in [
             ("depth", ["word"]), ("coords", ["word"]), ("magnus", ["word"]),
             ("sign", ["word"]), ("compare", ["word", "word2"]),
-            ("separate", ["word", "word2"]), ("axioms", []), ("distance", [])]:
+            ("separate", ["word", "word2"]), ("axioms", [])]:
         p = free.add_parser(name)
         for arg in extra:
             p.add_argument(arg)
         p.add_argument("--rank", type=int, default=2)
         p.add_argument("--cap", type=int, default=5)
-        p.add_argument("--json", action="store_true")
         if name in ("sign", "compare", "axioms"):
             p.add_argument("--ordering", default="lex",
                            help="'lex', inline JSON, or a JSON file path")
         if name == "axioms":
             p.add_argument("--radius", type=int, default=3)
-        if name == "distance":
-            p.add_argument("--ordering1", required=True)
-            p.add_argument("--ordering2", required=True)
-            p.add_argument("--radius", type=int, default=4)
+    p = free.add_parser("distance")
+    p.add_argument("--ordering1", required=True)
+    p.add_argument("--ordering2", required=True)
+    p.add_argument("--radius", type=int, default=4)
 
-    aut = top.add_parser("aut", help="automorphism actions").add_subparsers(
-        dest="command", required=True)
-    p = aut.add_parser("witness", help="ordering moved by an automorphism")
-    p.add_argument("map", help="e.g. 'x1 -> x1 x2 ; x2 -> x2'")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--cap", type=int, default=5)
-    p.add_argument("--json", action="store_true")
-    p = aut.add_parser("pull", help="sign of a word in the pulled-back ordering")
-    p.add_argument("map")
-    p.add_argument("word")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--cap", type=int, default=5)
-    p.add_argument("--json", action="store_true")
-    p = aut.add_parser("root", help="primitive root of a word")
-    p.add_argument("word")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p = aut.add_parser("common-power", help="minimal equal positive powers")
-    p.add_argument("word")
-    p.add_argument("word2")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--json", action="store_true")
-    p = aut.add_parser("boundary", help="word with no common power with its image")
-    p.add_argument("map")
-    p.add_argument("--rank", type=int, default=None)
-    p.add_argument("--radius", type=int, default=3)
-    p.add_argument("--json", action="store_true")
+    aut = group("aut", "automorphism actions", _run_aut)
+    for name, help_text, operands in [
+            ("witness", "ordering moved by an automorphism",
+             {"map": "e.g. 'x1 -> x1 x2 ; x2 -> x2'"}),
+            ("pull", "sign of a word in the pulled-back ordering",
+             {"map": None, "word": None}),
+            ("root", "primitive root of a word", {"word": None}),
+            ("common-power", "minimal equal positive powers", {"word": None, "word2": None}),
+            ("boundary", "word with no common power with its image", {"map": None})]:
+        p = aut.add_parser(name, help=help_text)
+        for arg, arg_help in operands.items():
+            p.add_argument(arg, help=arg_help)
+        p.add_argument("--rank", type=int, default=None)
+        if name in ("witness", "pull"):
+            p.add_argument("--cap", type=int, default=5)
+        if name == "boundary":
+            p.add_argument("--radius", type=int, default=3)
 
-    klein = top.add_parser("klein", help="the Klein bottle group").add_subparsers(
-        dest="command", required=True)
+    klein = group("klein", "the Klein bottle group", _run_klein)
     p = klein.add_parser("mul", help="normal-form product")
     p.add_argument("left")
     p.add_argument("right")
-    p.add_argument("--json", action="store_true")
-    p = klein.add_parser("orderings", help="the four left orderings")
-    p.add_argument("--json", action="store_true")
+    klein.add_parser("orderings", help="the four left orderings")
     p = klein.add_parser("pull", help="pull an ordering back along an automorphism")
     p.add_argument("map", help="e.g. 'x -> x y ; y -> y'")
     p.add_argument("ordering", help="++, +-, -+, -- or the printed form (+,-); "
                    "-+ and -- read as options, so give them as (-,+) and (-,-)")
-    p.add_argument("--json", action="store_true")
-    p = klein.add_parser("table", help="Out(K) and its action on the orderings")
-    p.add_argument("--json", action="store_true")
+    klein.add_parser("table", help="Out(K) and its action on the orderings")
 
-    p = top.add_parser("report", help="run the acceptance suite")
-    p.add_argument("--seed", type=int, default=report_module.DEFAULT_SEED)
-    p.add_argument("--only", type=int, default=None, help="criterion number 1..10")
-    p.add_argument("--json", action="store_true")
+    report = top.add_parser("report", help="run the acceptance suite")
+    report.set_defaults(run=_run_report)
+    report.add_argument("--seed", type=int, default=report_module.DEFAULT_SEED)
+    report.add_argument("--only", type=int, default=None, help="criterion number 1..10")
+    for leaf in [report, *zn.choices.values(), *free.choices.values(),
+                 *aut.choices.values(), *klein.choices.values()]:
+        leaf.add_argument("--json", action="store_true")
     return parser
 
 
@@ -330,34 +319,19 @@ def _run_klein(args) -> int:
 
 def _run_report(args) -> int:
     results = report_module.run_all(args.seed, args.only)
-    if args.json:
-        print(json.dumps([{
-            "criterion": r.number, "name": r.name, "passed": r.passed,
-            "detail": r.detail, "seconds": round(r.seconds, 3)} for r in results],
-            indent=2))
-    else:
-        for r in results:
-            print(r.line())
+    _emit(args, [{"criterion": r.number, "name": r.name, "passed": r.passed,
+                  "detail": r.detail, "seconds": round(r.seconds, 3)} for r in results],
+          "\n".join(r.line() for r in results))
     return 0 if all(r.passed for r in results) else 2
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        if args.group == "zn":
-            return _run_zn(args)
-        if args.group == "free":
-            return _run_free(args)
-        if args.group == "aut":
-            return _run_aut(args)
-        if args.group == "klein":
-            return _run_klein(args)
-        if args.group == "report":
-            return _run_report(args)
+        return args.run(args)
     except NegativeCertificate as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
@@ -367,7 +341,6 @@ def main(argv=None) -> int:
     except (InputError, GroupOrderError, ValueError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    return 1
 
 
 def entrypoint() -> None:

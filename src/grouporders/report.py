@@ -19,7 +19,7 @@ from .autact import boundary_separation, common_power, ordering_witness, primiti
 from .errors import CommonRoot, DepthCapExceeded, IdentityAutomorphism, NoCone
 from .exactlin import Halfspace, ZeroCombo, classify_cone, vector
 from .hall import identity_matrix, induced_matrix, layer_rank, lyndon_words
-from .klein import (KleinElement, inner_by, is_inner, k_enumerate_orderings,
+from .klein import (KleinElement, alpha1, inner_by, is_inner, k_enumerate_orderings,
                     k_out_table, k_pull)
 from .series import magnus
 from .stdord import StandardOrdering, TwistedOrdering, separate, verify_cone_axioms
@@ -278,7 +278,6 @@ def criterion_10(seed: int = DEFAULT_SEED) -> CriterionResult:
             return False, "Out(K) table is not Z/2 x Z/2"
         if table.actions["a1"] != (0, 1, 2, 3):
             return False, "alpha_1 does not fix the four orderings"
-        from .klein import alpha1
         if is_inner(alpha1()) is not None:
             return False, "alpha_1 reported inner"
         conj_y = inner_by(KleinElement(0, 1))

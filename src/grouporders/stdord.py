@@ -44,13 +44,17 @@ from .errors import (CommonRoot, DepthCapExceeded, DepthExceedsCap, DimensionMis
 from .exactlin import strict_separator
 from .hall import layer_rank, leading_coords, lie_coords, monomials
 from .series import Monomial, concat, leading_part, magnus
-from .words import Word, ball_words, generator, identity_word
-from .znord import FlagOrdering, complete_flag, flag_sign, positive_ratio
+from .words import (Word, ball_words, common_power, generator, identity_word,
+                    primitive_root)
+from .znord import (FlagOrdering, complete_flag, flag_sign, opposite as flag_opposite,
+                    positive_ratio)
 
 POWER_BOUND = 64  # largest exponent a or b that separate tries in g^a, k^b
 
 
 def _check_levels(rank: int, cap: int, levels: Sequence[FlagOrdering]):
+    if rank < 1 or cap < 1:
+        raise InputError(f"rank {rank} and class {cap}: both must be at least 1")
     if len(levels) != cap:
         raise DimensionMismatch(f"expected {cap} level flags, got {len(levels)}")
     for i, flag in enumerate(levels, start=1):
@@ -83,7 +87,6 @@ class StandardOrdering:
         return value
 
     def opposite(self) -> "StandardOrdering":
-        from .znord import opposite as flag_opposite
         return StandardOrdering(self.rank, self.cap,
                                 tuple(flag_opposite(f) for f in self.levels))
 
@@ -100,6 +103,8 @@ class StandardOrdering:
 @lru_cache(maxsize=None)
 def identity_levels(rank: int, cap: int) -> tuple[FlagOrdering, ...]:
     """Identity flags on levels 1..cap; cached, since flags are immutable."""
+    if rank < 1:
+        raise InputError(f"rank {rank} is below 1")
     return tuple(FlagOrdering.identity(layer_rank(rank, i))
                  for i in range(1, cap + 1))
 
@@ -437,7 +442,6 @@ def separate(g: Word, k: Word, cap: int = 5) -> Ordering:
     left ordering separates them) and DepthCapExceeded when the divergence
     is not visible within the cap or needs an unsupported twist shape.
     """
-    from .autact import common_power, primitive_root
     if g.is_identity() or k.is_identity():
         raise EmptyWord("separation needs nonempty words")
     if g.rank != k.rank:

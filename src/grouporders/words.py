@@ -1,4 +1,4 @@
-"""Freely reduced words and endomorphisms of finitely generated free groups.
+"""Freely reduced words, primitive roots and endomorphisms of free groups.
 
 Letters are nonzero integers: ``+i`` is the i-th generator, ``-i`` its
 inverse (indices run 1..rank).  Words always stay freely reduced.
@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Iterator
 
-from .errors import NonAutomorphism, ParseError, RankMismatch
+from .errors import EmptyWord, NonAutomorphism, ParseError, RankMismatch
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -93,6 +94,54 @@ class Word:
             parts.append(f"x{abs(letter)}" + (f"^{exp}" if exp != 1 else ""))
             i = j
         return " ".join(parts)
+
+
+@dataclass(frozen=True)
+class RootDecomposition:
+    root: Word
+    exponent: int
+
+    def __post_init__(self):
+        if self.exponent < 1 or self.root.is_identity():
+            raise AssertionError(f"({self.root})^{self.exponent} is no root decomposition")
+
+
+def primitive_root(w: Word) -> RootDecomposition:
+    """(h, m) with h^m == w, m maximal, via cyclic reduction and periodicity."""
+    if w.is_identity():
+        raise EmptyWord("the identity has no primitive root")
+    core, conj = w.cyclic_reduce()
+    n = len(core)
+    for p in range(1, n + 1):
+        if n % p:
+            continue
+        if core.letters == core.letters[:p] * (n // p):
+            root_core = Word(w.rank, core.letters[:p])
+            root = conj * root_core * conj.inverse()
+            m = n // p
+            if root ** m != w:
+                raise AssertionError(f"({root})^{m} is not {w}")
+            return RootDecomposition(root, m)
+    raise AssertionError("unreachable: every word is a power of itself")
+
+
+def common_power(g: Word, k: Word) -> tuple[int, int] | None:
+    """Minimal (a, b) with g^a == k^b and a, b > 0, else None.
+
+    In a free group such powers exist exactly when the primitive roots
+    coincide as reduced words.
+    """
+    if g.is_identity() or k.is_identity():
+        raise EmptyWord("common powers are defined for nonempty words")
+    rg = primitive_root(g)
+    rk = primitive_root(k)
+    if rg.root != rk.root:
+        return None
+    m = rg.exponent * rk.exponent // gcd(rg.exponent, rk.exponent)
+    a, b = m // rg.exponent, m // rk.exponent
+    if g ** a != k ** b:
+        raise AssertionError(f"({g})^{a} is not ({k})^{b}")
+    return a, b
 
 
 def identity_word(rank: int) -> Word:
@@ -219,6 +268,9 @@ def parse_endomorphism(text: str, rank: int | None = None) -> Endomorphism:
                 max_index = max(max_index, int(tm.group(1)))
     if rank is None:
         rank = max_index
+    for index in mapping:
+        if not 1 <= index <= rank:
+            raise ParseError(f"left side x{index} lies outside rank {rank}")
     images = []
     for i in range(1, rank + 1):
         if i in mapping:

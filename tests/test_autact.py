@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from grouporders.autact import (boundary_separation, common_power, ordering_witness,
                                 primitive_root, pulled_sign, verify_automorphism)
 import grouporders
+from grouporders import autact, words
 from grouporders.catalog import automorphism_catalog, ia_generators
 from grouporders.errors import (EmptyWord, IdentityAutomorphism, NonAutomorphism,
                                 NotFoundWithinBall)
@@ -49,6 +50,11 @@ def test_primitive_root_is_idempotent(ls):
     r = primitive_root(w)
     assert r.root ** r.exponent == w
     assert primitive_root(r.root).exponent == 1
+
+
+def test_root_functions_are_reexported_from_words():
+    for name in ("RootDecomposition", "primitive_root", "common_power"):
+        assert getattr(autact, name) is getattr(words, name) is getattr(grouporders, name)
 
 
 def test_common_power_examples():

@@ -143,6 +143,39 @@ def test_axioms_radius_below_one_exits_1(capsys):
     _one_line_error(code, err, "InputError")
 
 
+@pytest.mark.parametrize("argv", [
+    ("aut", "witness", "x1 -> x1 x2 ; x3 -> x3 x1", "--rank", "2"),
+    ("aut", "pull", "x3 -> x1", "x1 x2", "--rank", "2"),
+    ("aut", "witness", "x3 -> x1 x3", "--rank", "2"),
+])
+def test_clause_beyond_the_rank_exits_1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    _one_line_error(code, err, "ParseError")
+    assert "x3 lies outside rank 2" in err
+
+
+ZERO_JSON = json.dumps({"rank": 0, "class": 0, "levels": []})
+
+
+@pytest.mark.parametrize("argv", [
+    ("free", "axioms", "--rank", "0", "--radius", "1"),
+    ("free", "sign", "x1", "--rank", "0"),
+    ("free", "distance", "--ordering1", ZERO_JSON, "--ordering2", ZERO_JSON),
+])
+def test_rank_below_one_exits_1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    _one_line_error(code, err, "InputError")
+    assert "rank" in err
+
+
+@pytest.mark.parametrize("option", ["--rank", "--cap"])
+def test_free_distance_takes_no_rank_or_cap(capsys, option):
+    code, out, err = run(capsys, "free", "distance", "--ordering1", LEX_JSON,
+                         "--ordering2", LEX_JSON, option, "2")
+    assert code == 1 and out == ""
+    assert f"unrecognized arguments: {option} 2" in err
+
+
 def test_klein_mul_large_exponent(capsys):
     code, out, _ = run(capsys, "klein", "mul", "y x^1000000001", "y^2")
     assert code == 0 and out.strip() == "x^1000000001 y"

@@ -69,6 +69,15 @@ def test_opposite_negates_every_sign():
         assert opp.sign(w) == -LEX.sign(w)
 
 
+def test_rank_or_class_below_one_is_an_input_error():
+    with pytest.raises(InputError, match="rank 0 is below 1"):
+        identity_levels(0, 3)
+    for data in ({"rank": 0, "class": 0, "levels": []},
+                 {"rank": 2, "class": 0, "levels": []}):
+        with pytest.raises(InputError, match="both must be at least 1"):
+            ordering_from_json(data)
+
+
 def test_pullback_concatenates_levels():
     levels = identity_levels(2, 5)
     assert pullback(levels[:2], levels[2:]).levels == levels

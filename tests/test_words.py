@@ -103,6 +103,14 @@ def test_composition_law(ls):
     assert phi.compose(psi).apply(w) == phi.apply(psi.apply(w))
 
 
+@pytest.mark.parametrize("text,rank,generator_name", [
+    ("x1 -> x1 x2 ; x3 -> x3 x1", 2, "x3"), ("x3 -> x1", 2, "x3"),
+    ("x0 -> x1", None, "x0"), ("x1 -> x1", 0, "x1")])
+def test_parse_endomorphism_rejects_a_clause_beyond_the_rank(text, rank, generator_name):
+    with pytest.raises(ParseError, match=f"{generator_name} lies outside rank"):
+        parse_endomorphism(text, rank)
+
+
 def test_automorphism_validates_inverse():
     with pytest.raises(NonAutomorphism):
         Automorphism(parse_endomorphism("x1 -> x1 x2", 2),
