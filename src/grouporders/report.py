@@ -16,7 +16,7 @@ from typing import Callable
 
 from . import catalog
 from .autact import boundary_separation, common_power, ordering_witness, primitive_root
-from .errors import CommonRoot, DepthCapExceeded, IdentityAutomorphism, NoCone
+from .errors import CommonRoot, DepthCapExceeded, IdentityAutomorphism, InputError, NoCone
 from .exactlin import Halfspace, ZeroCombo, classify_cone, vector
 from .hall import identity_matrix, induced_matrix, layer_rank, lyndon_words
 from .klein import (KleinElement, alpha1, inner_by, is_inner, k_enumerate_orderings,
@@ -311,5 +311,7 @@ ALL_CRITERIA: tuple[Callable[[int], CriterionResult], ...] = (
 
 
 def run_all(seed: int = DEFAULT_SEED, only: int | None = None) -> list[CriterionResult]:
+    if only is not None and not 1 <= only <= len(ALL_CRITERIA):
+        raise InputError(f"criterion {only} outside 1..{len(ALL_CRITERIA)}")
     selected = ALL_CRITERIA if only is None else (ALL_CRITERIA[only - 1],)
     return [c(seed) for c in selected]

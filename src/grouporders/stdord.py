@@ -44,8 +44,8 @@ from .errors import (CommonRoot, DepthCapExceeded, DepthExceedsCap, DimensionMis
 from .exactlin import strict_separator
 from .hall import layer_rank, leading_coords, lie_coords, monomials
 from .series import Monomial, concat, leading_part, magnus
-from .words import (Word, ball_words, common_power, generator, identity_word,
-                    primitive_root)
+from .words import (MAX_BALL_WORDS, Word, ball_size, ball_words, common_power, generator,
+                    identity_word, primitive_root)
 from .znord import (FlagOrdering, complete_flag, flag_sign, opposite as flag_opposite,
                     positive_ratio)
 
@@ -292,6 +292,10 @@ def verify_cone_axioms(ordering: Ordering, radius: int) -> AxiomReport:
     if radius < 1:
         raise InputError(f"radius must be at least 1, got {radius}")
     rank = ordering.rank
+    # 2 * radius words at least, so a huge radius is refused before any power
+    if 2 * radius > MAX_BALL_WORDS or ball_size(rank, radius) > MAX_BALL_WORDS:
+        raise InputError(f"the radius-{radius} ball of rank {rank} holds more than "
+                         f"{MAX_BALL_WORDS} words")
     # one sign per distinct word (products and conjugates repeat); None: too deep
     signs: dict[tuple[int, ...], int | None] = {}
 
@@ -432,6 +436,16 @@ def build_twisted(rank: int, cap: int, d: int, u0: Sequence[int], j: int,
         twist_degree=j, psi=psi, alpha=alpha, levels=identity_levels(rank, cap))
 
 
+def _refuse_common_root(g: Word, k: Word) -> None:
+    """Raise CommonRoot when g and k are positive powers of one root; such words
+    have equal depth and proportional leading data, or are both beyond the cap."""
+    powers = common_power(g, k)
+    if powers is not None:
+        root = primitive_root(g).root
+        raise CommonRoot(f"both words are positive powers of {root}",
+                         root=root, powers=powers) from None
+
+
 def separate(g: Word, k: Word, cap: int = 5) -> Ordering:
     """An ordering with g positive and k negative, when one exists.
 
@@ -447,15 +461,11 @@ def separate(g: Word, k: Word, cap: int = 5) -> Ordering:
     if g.rank != k.rank:
         raise DimensionMismatch("words live in different free groups")
     rank = g.rank
-    powers = common_power(g, k)
-    if powers is not None:
-        root = primitive_root(g).root
-        raise CommonRoot(f"both words are positive powers of {root}",
-                         root=root, powers=powers)
     try:
         dg, ug = leading_coords(g, cap)
         dk, uk = leading_coords(k, cap)
     except DepthExceedsCap:
+        _refuse_common_root(g, k)
         raise DepthCapExceeded(f"word deeper than class cap {cap}") from None
     levels = list(identity_levels(rank, cap))
     if dg != dk:
@@ -469,6 +479,7 @@ def separate(g: Word, k: Word, cap: int = 5) -> Ordering:
             levels[dg - 1] = complete_flag(f)
             ordering = StandardOrdering(rank, cap, tuple(levels))
         else:
+            _refuse_common_root(g, k)
             a, b = ratio.numerator, ratio.denominator
             if max(a, b) > POWER_BOUND:
                 raise DepthCapExceeded(

@@ -2,6 +2,11 @@
 
 Letters are nonzero integers: ``+i`` is the i-th generator, ``-i`` its
 inverse (indices run 1..rank).  Words always stay freely reduced.
+
+Words from outside the library are validated: ``Word(rank, letters)``
+checks every letter and that the tuple is reduced.  Words the library
+builds reduced from reduced words go through ``_trusted``, which checks
+nothing; a product cancels only at its seam (Lyndon-Schupp, ch. I).
 """
 
 from __future__ import annotations
@@ -40,9 +45,14 @@ class Word:
         object.__setattr__(self, "letters", letters)
 
     def __mul__(self, other: "Word") -> "Word":
+        """Cancels the longest suffix of self that inverts a prefix of other."""
         if self.rank != other.rank:
             raise RankMismatch("cannot multiply words of different ranks")
-        return Word(self.rank, _reduce(self.letters + other.letters))
+        a, b = self.letters, other.letters
+        k, n = 0, min(len(a), len(b))
+        while k < n and a[-1 - k] == -b[k]:
+            k += 1
+        return _trusted(self.rank, a[:len(a) - k] + b[k:])
 
     def __pow__(self, n: int) -> "Word":
         """self^n = c w'^n c^-1 for self = c w' c^-1 with w' cyclically reduced,
@@ -52,10 +62,10 @@ class Word:
         if n == 0:
             return identity_word(self.rank)
         w, k = self.letters, self._conjugator_length()
-        return Word(self.rank, w[:k] + w[k:len(w) - k] * n + w[len(w) - k:])
+        return _trusted(self.rank, w[:k] + w[k:len(w) - k] * n + w[len(w) - k:])
 
     def inverse(self) -> "Word":
-        return Word(self.rank, tuple(-x for x in reversed(self.letters)))
+        return _trusted(self.rank, tuple(-x for x in reversed(self.letters)))
 
     def conjugate_by(self, c: "Word") -> "Word":
         return c * self * c.inverse()
@@ -78,7 +88,7 @@ class Word:
         """(core, conjugator) with self == conjugator * core * conjugator^-1,
         the conjugator being the prefix of length ``_conjugator_length``."""
         w, k = self.letters, self._conjugator_length()
-        return Word(self.rank, w[k:len(w) - k]), Word(self.rank, w[:k])
+        return _trusted(self.rank, w[k:len(w) - k]), _trusted(self.rank, w[:k])
 
     def __str__(self) -> str:
         if not self.letters:
@@ -94,6 +104,14 @@ class Word:
             parts.append(f"x{abs(letter)}" + (f"^{exp}" if exp != 1 else ""))
             i = j
         return " ".join(parts)
+
+
+def _trusted(rank: int, letters: tuple[int, ...]) -> Word:
+    """A word the library built reduced from reduced words; checks nothing."""
+    w = object.__new__(Word)
+    object.__setattr__(w, "rank", rank)
+    object.__setattr__(w, "letters", letters)
+    return w
 
 
 @dataclass(frozen=True)
@@ -116,8 +134,8 @@ def primitive_root(w: Word) -> RootDecomposition:
         if n % p:
             continue
         if core.letters == core.letters[:p] * (n // p):
-            root_core = Word(w.rank, core.letters[:p])
-            root = conj * root_core * conj.inverse()
+            # core[:p] starts and ends as core does, so the root is reduced
+            root = _trusted(w.rank, conj.letters + core.letters[:p] + conj.inverse().letters)
             m = n // p
             if root ** m != w:
                 raise AssertionError(f"({root})^{m} is not {w}")
@@ -165,6 +183,7 @@ def commutator(u: Word, v: Word) -> Word:
 
 _TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 MAX_WORD_LETTERS = 10**6  # parse_word refuses to spell out longer words
+MAX_BALL_WORDS = 2000  # verify_cone_axioms, which multiplies all pairs, refuses larger balls
 
 
 def parse_word(text: str, rank: int | None = None) -> Word:
@@ -227,7 +246,7 @@ class Endomorphism:
                 letters.extend(image.letters)
             else:
                 letters.extend(image.inverse().letters)
-        return word(self.rank, letters)
+        return _trusted(self.rank, _reduce(letters))
 
     def compose(self, other: "Endomorphism") -> "Endomorphism":
         """self after other: compose(f, g).apply(w) == f.apply(g.apply(w))."""
@@ -319,6 +338,12 @@ def inner_automorphism(c: Word) -> Automorphism:
     return Automorphism(fwd, inv)
 
 
+def ball_size(rank: int, radius: int) -> int:
+    """Count of ``ball_words``: 2r((2r-1)^R - 1)/(2r-2), or 2R when r = 1."""
+    q = 2 * rank - 1
+    return 2 * radius if q == 1 else 2 * rank * (q ** radius - 1) // (q - 1)
+
+
 def ball_words(rank: int, radius: int) -> Iterator[Word]:
     """Nonempty reduced words of length <= radius, in length-lex order.
 
@@ -336,5 +361,5 @@ def ball_words(rank: int, radius: int) -> Iterator[Word]:
                     continue
                 extended = prefix + (letter,)
                 next_frontier.append(extended)
-                yield Word(rank, extended)
+                yield _trusted(rank, extended)
         frontier = next_frontier

@@ -293,3 +293,27 @@ def test_pinned_outputs(capsys):
 def test_zero_denominators_and_overlong_words_exit_one(capsys, argv):
     code, _, err = run(capsys, *argv)
     _one_line_error(code, err, "ParseError")
+
+
+@pytest.mark.parametrize("only", ["0", "11", "-1"])
+def test_report_only_outside_the_criteria_exits_1(capsys, only):
+    code, out, err = run(capsys, "report", "--only", only)
+    _one_line_error(code, err, "InputError")
+    assert out == "" and f"criterion {only} outside 1..10" in err
+
+
+def test_axioms_beyond_the_ball_bound_exits_1(capsys):
+    code, _, err = run(capsys, "free", "axioms", "--radius", "9")
+    _one_line_error(code, err, "InputError")
+    assert "holds more than" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("free", "sign", "x3", "--ordering", LEX_JSON),
+    ("free", "compare", "x1", "x2 x0", "--ordering", LEX_JSON),
+    ("free", "separate", "x1", "x3", "--rank", "2"),
+    ("aut", "pull", "x1 -> x1 x2", "x3", "--rank", "2"),
+])
+def test_words_outside_the_rank_exit_1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    _one_line_error(code, err, "ParseError")

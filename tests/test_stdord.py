@@ -26,7 +26,8 @@ from grouporders.stdord import (AxiomReport, StandardOrdering, TwistedOrdering, 
                                 compare, identity_levels, identity_ordering,
                                 ordering_from_json, pullback, separate, std_sign,
                                 verify_cone_axioms)
-from grouporders.words import ball_words, commutator, generator, parse_word, word
+from grouporders.words import (MAX_BALL_WORDS, ball_size, ball_words, commutator, generator,
+                               parse_word, word)
 from grouporders.znord import flag_sign, opposite, positive_ratio
 
 LEX = identity_ordering(2, 5)
@@ -174,6 +175,14 @@ def test_radius_below_one_is_an_input_error():
         with pytest.raises(InputError):
             ball_distance(LEX, LEX, radius)
         with pytest.raises(InputError):
+            verify_cone_axioms(LEX, radius)
+
+
+def test_cone_axioms_refuse_a_ball_beyond_the_bound():
+    # radius 4 stays allowed in ranks 2 and 3, and radius 6 in rank 2
+    assert max(ball_size(3, 4), ball_size(2, 6)) <= MAX_BALL_WORDS < ball_size(2, 7)
+    for radius in (7, 9, 10**9):
+        with pytest.raises(InputError, match="holds more than"):
             verify_cone_axioms(LEX, radius)
 
 

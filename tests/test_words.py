@@ -1,11 +1,13 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouporders.errors import NonAutomorphism, ParseError, RankMismatch
-from grouporders.words import (MAX_WORD_LETTERS, Automorphism, Endomorphism, Word, ball_words,
-                               commutator, generator, identity_word, inner_automorphism,
-                               parse_endomorphism, parse_word, word)
+from grouporders.words import (MAX_WORD_LETTERS, Automorphism, Endomorphism, Word, ball_size,
+                               ball_words, commutator, generator, identity_word,
+                               inner_automorphism, parse_endomorphism, parse_word, word)
 
 
 def test_parse_and_format():
@@ -147,3 +149,15 @@ def test_parse_word_bounds_the_letter_count():
         parse_word("x1^600000 x2^400000 x1")
     with pytest.raises(ParseError, match="longer than"):
         parse_word("x2 x1^-1000000000000", 2)
+
+
+@pytest.mark.parametrize("letters", [(1, -1), (3,), (0,), (2, 1, -1, 2), json.loads("[1, -1]")])
+def test_word_constructor_validates(letters):
+    with pytest.raises(ParseError):
+        Word(2, letters)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_ball_size_counts_the_ball(rank):
+    for radius in range(5):
+        assert ball_size(rank, radius) == len(list(ball_words(rank, radius)))
