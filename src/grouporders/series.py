@@ -8,7 +8,13 @@ coincides with its torsion-adjusted variant because every quotient of
 consecutive terms is free abelian.
 
 Monomials are tuples of generator indices; the empty tuple is the constant
-term.
+term.  While a word is expanded, the series is held as one dict per degree,
+keyed by the monomial's base-(rank+1) numeral (its digits are the indices),
+and each letter updates the degrees in place: x_i adds degree d times X_i
+into degree d+1, top degree first; x_i^-1 subtracts the updated degree d-1
+times X_i from degree d, bottom first, because new (1 + X_i) = old.  Callers
+decode only the degrees they read: ``magnus`` all, ``leading_part`` the
+first nonzero one, ``magnus_part`` the top one.
 """
 
 from __future__ import annotations
@@ -16,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .errors import DimensionMismatch, EmptyWord
-from .words import Word
+from .errors import DimensionMismatch, EmptyWord, InputError
+from .words import MAX_SERIES_TERMS, Word
 
 Monomial = tuple[int, ...]
 
@@ -88,34 +94,75 @@ def one(rank: int, cap: int) -> TruncatedSeries:
     return TruncatedSeries(rank, cap, {(): 1})
 
 
-def _mul_generator(series_coeffs: dict[Monomial, int], index: int, sign: int,
-                   cap: int) -> dict[Monomial, int]:
-    """Multiply on the right by (1 + X)^sign, truncated."""
+def _check_terms(w: Word, cap: int) -> None:
+    """Refuse a series that may hold more than MAX_SERIES_TERMS terms.
+
+    Degree d holds at most rank^d monomials, and at most C(n+d-1, d) for an
+    n-letter word: the multisets of d letter positions.  Each degree counts
+    at least one term, so a cap above the bound is refused for any word.
+    """
+    n, limit = len(w.letters), MAX_SERIES_TERMS
+    terms = power = multisets = 1
+    for d in range(1, cap + 1):
+        # both counts grow with d, so clipping them above the limit keeps the verdict
+        power = min(power * w.rank, limit + 1)
+        multisets = min(multisets * (n + d - 1) // d, limit + 1)
+        terms += max(1, min(power, multisets))
+        if terms > limit:
+            raise InputError(f"the degree-{cap} series of a {n}-letter word of rank "
+                             f"{w.rank} may hold more than {limit} terms")
+
+
+def _expand(w: Word, cap: int) -> list[dict[int, int]]:
+    """Degree parts 0..cap of mu(w), keyed by base-(rank+1) numerals."""
+    if cap < 1:
+        raise InputError("cap must be at least 1")
+    _check_terms(w, cap)
+    base = w.rank + 1
+    parts: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(cap)]
+    for letter in w.letters:
+        i = abs(letter)
+        # x_i reads old lower degrees, so top first; x_i^-1 reads new ones, so bottom first
+        sign, order = (1, range(cap - 1, -1, -1)) if letter > 0 else (-1, range(cap))
+        for d in order:
+            target = parts[d + 1]
+            for code, c in parts[d].items():
+                key = code * base + i
+                value = target.get(key, 0) + sign * c
+                if value:
+                    target[key] = value
+                else:
+                    del target[key]
+    return parts
+
+
+def _decode(rank: int, degree: int, part: dict[int, int]) -> dict[Monomial, int]:
+    base = rank + 1
     out: dict[Monomial, int] = {}
-    for m, c in series_coeffs.items():
-        out[m] = out.get(m, 0) + c
-        if sign > 0:
-            m2 = m + (index,)
-            if len(m2) <= cap:
-                out[m2] = out.get(m2, 0) + c
-        else:
-            coeff = c
-            m2 = m
-            for _ in range(cap - len(m)):
-                m2 = m2 + (index,)
-                coeff = -coeff
-                out[m2] = out.get(m2, 0) + coeff
-    return {m: c for m, c in out.items() if c != 0}
+    for code, c in part.items():
+        digits = [0] * degree
+        for k in range(degree - 1, -1, -1):
+            code, digits[k] = divmod(code, base)
+        out[tuple(digits)] = c
+    return out
 
 
 def magnus(w: Word, cap: int) -> TruncatedSeries:
-    """Multiplicative embedding of a word, truncated above total degree cap."""
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
-    coeffs: dict[Monomial, int] = {(): 1}
-    for letter in w.letters:
-        coeffs = _mul_generator(coeffs, abs(letter), 1 if letter > 0 else -1, cap)
+    """Multiplicative embedding of a word, truncated above total degree cap.
+
+    Like every series reader, raises InputError for a cap below 1 or a
+    series that may hold more than MAX_SERIES_TERMS terms.
+    """
+    parts = _expand(w, cap)
+    coeffs: dict[Monomial, int] = {}
+    for degree, part in enumerate(parts):
+        coeffs.update(_decode(w.rank, degree, part))
     return TruncatedSeries(w.rank, cap, coeffs)
+
+
+def magnus_part(w: Word, degree: int) -> dict[Monomial, int]:
+    """The degree part of mu(w): magnus(w, degree).graded_part(degree), decoded alone."""
+    return _decode(w.rank, degree, _expand(w, degree)[degree])
 
 
 def lcs_depth(w: Word, cap: int) -> int | None:
@@ -139,13 +186,13 @@ def leading_part(w: Word, cap: int) -> tuple[int, dict[Monomial, int]] | None:
     if w.is_identity():
         raise EmptyWord("depth is undefined for the identity")
     if cap < 1:
-        raise ValueError("cap must be at least 1")
+        raise InputError("cap must be at least 1")
     sums = [0] * (w.rank + 1)
     for letter in w.letters:
         sums[abs(letter)] += 1 if letter > 0 else -1
     linear = {(i,): c for i, c in enumerate(sums) if c != 0}
     if linear:
         return 1, linear
-    series = magnus(w, cap)
-    depth = series.min_degree()
-    return None if depth is None else (depth, series.graded_part(depth))
+    parts = _expand(w, cap)
+    depth = next((d for d in range(1, cap + 1) if parts[d]), None)
+    return None if depth is None else (depth, _decode(w.rank, depth, parts[depth]))

@@ -43,9 +43,9 @@ from .errors import (CommonRoot, DepthCapExceeded, DepthExceedsCap, DimensionMis
                      EmptyWord, InputError, ParseError)
 from .exactlin import strict_separator
 from .hall import layer_rank, leading_coords, lie_coords, monomials
-from .series import Monomial, concat, leading_part, magnus
-from .words import (MAX_BALL_WORDS, Word, ball_size, ball_words, common_power, generator,
-                    identity_word, primitive_root)
+from .series import Monomial, concat, leading_part, magnus_part
+from .words import (MAX_BALL_WORDS, Word, ball_size, ball_words, common_root, generator,
+                    identity_word)
 from .znord import (FlagOrdering, complete_flag, flag_sign, opposite as flag_opposite,
                     positive_ratio)
 
@@ -170,7 +170,7 @@ class TwistedOrdering:
                 if value:
                     return 1 if value > 0 else -1
             s = Fraction(c[i], u[i])
-        part_j = part if depth == j else {} if depth > j else magnus(w, j).graded_part(j)
+        part_j = part if depth == j else {} if depth > j else magnus_part(w, j)
         rho = self.alpha * s + sum(x * part_j.get(m, 0) for m, x in self.psi)
         if rho != 0:
             return 1 if rho > 0 else -1
@@ -407,7 +407,7 @@ def _twist_constraints(rank: int, d: int, u0: Sequence[int],
     lie = [hall.bracket_expansion(b) for b in hall.basis_layer(rank, d + 1)]
     # degree d+1 of mu(r^s) is s*H + C(s,2)*P*P when d = 1, else s*H
     realizer = _word_with_coords(rank, d, u0)
-    factors = lie + [magnus(realizer, d + 1).graded_part(d + 1)]
+    factors = lie + [magnus_part(realizer, d + 1)]
     if d == 1:
         factors.append(concat(pivot, pivot))
     return [concat(pivot, v) for v in factors] + [concat(v, pivot) for v in factors]
@@ -439,9 +439,9 @@ def build_twisted(rank: int, cap: int, d: int, u0: Sequence[int], j: int,
 def _refuse_common_root(g: Word, k: Word) -> None:
     """Raise CommonRoot when g and k are positive powers of one root; such words
     have equal depth and proportional leading data, or are both beyond the cap."""
-    powers = common_power(g, k)
-    if powers is not None:
-        root = primitive_root(g).root
+    shared = common_root(g, k)
+    if shared is not None:
+        root, powers = shared
         raise CommonRoot(f"both words are positive powers of {root}",
                          root=root, powers=powers) from None
 
@@ -499,7 +499,7 @@ def separate(g: Word, k: Word, cap: int = 5) -> Ordering:
             u0 = tuple(c // e for c in ug)
             ordering = build_twisted(
                 rank, cap, dg, u0, j, z_part=z_part,
-                mu_j_pivot=magnus(big_g, j).graded_part(j),
+                mu_j_pivot=magnus_part(big_g, j),
                 sigma=Fraction(a * e))
     if ordering.sign(g) != 1 or ordering.sign(k) != -1:
         raise AssertionError(f"{type(ordering).__name__} fails to separate {g} from {k}")

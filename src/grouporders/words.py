@@ -143,12 +143,9 @@ def primitive_root(w: Word) -> RootDecomposition:
     raise AssertionError("unreachable: every word is a power of itself")
 
 
-def common_power(g: Word, k: Word) -> tuple[int, int] | None:
-    """Minimal (a, b) with g^a == k^b and a, b > 0, else None.
-
-    In a free group such powers exist exactly when the primitive roots
-    coincide as reduced words.
-    """
+def common_root(g: Word, k: Word) -> tuple[Word, tuple[int, int]] | None:
+    """(h, (a, b)) with h the primitive root of both words and (a, b) minimal
+    with g^a == k^b, a, b > 0, else None."""
     if g.is_identity() or k.is_identity():
         raise EmptyWord("common powers are defined for nonempty words")
     rg = primitive_root(g)
@@ -159,7 +156,17 @@ def common_power(g: Word, k: Word) -> tuple[int, int] | None:
     a, b = m // rg.exponent, m // rk.exponent
     if g ** a != k ** b:
         raise AssertionError(f"({g})^{a} is not ({k})^{b}")
-    return a, b
+    return rg.root, (a, b)
+
+
+def common_power(g: Word, k: Word) -> tuple[int, int] | None:
+    """Minimal (a, b) with g^a == k^b and a, b > 0, else None.
+
+    In a free group such powers exist exactly when the primitive roots
+    coincide as reduced words.
+    """
+    shared = common_root(g, k)
+    return None if shared is None else shared[1]
 
 
 def identity_word(rank: int) -> Word:
@@ -184,6 +191,7 @@ def commutator(u: Word, v: Word) -> Word:
 _TOKEN = re.compile(r"^x(\d+)(?:\^(-?\d+))?$")
 MAX_WORD_LETTERS = 10**6  # parse_word refuses to spell out longer words
 MAX_BALL_WORDS = 2000  # verify_cone_axioms, which multiplies all pairs, refuses larger balls
+MAX_SERIES_TERMS = 100_000  # series.magnus and its readers refuse larger expansions
 
 
 def parse_word(text: str, rank: int | None = None) -> Word:

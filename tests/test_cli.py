@@ -308,6 +308,37 @@ def test_axioms_beyond_the_ball_bound_exits_1(capsys):
     assert "holds more than" in err
 
 
+def test_magnus_pin_with_inverse_runs(capsys):
+    series = " ".join([  # degrees 0..5, each starting a line
+        "1",
+        "- 4 X1 - X2",
+        "+ 10 X1 X1 + 5 X1 X2 - X2 X1 + X2 X2",
+        "- 20 X1 X1 X1 - 14 X1 X1 X2 + 3 X1 X2 X1 - 6 X1 X2 X2 + X2 X1 X1",
+        "+ 2 X2 X1 X2 - X2 X2 X2",
+        "+ 35 X1 X1 X1 X1 + 30 X1 X1 X1 X2 - 6 X1 X1 X2 X1 + 18 X1 X1 X2 X2",
+        "- 3 X1 X2 X1 X1 - 6 X1 X2 X1 X2 + 7 X1 X2 X2 X2 - X2 X1 X1 X1",
+        "- 2 X2 X1 X1 X2 - 3 X2 X1 X2 X2 + X2 X2 X2 X2",
+        "- 56 X1 X1 X1 X1 X1 - 55 X1 X1 X1 X1 X2 + 10 X1 X1 X1 X2 X1",
+        "- 40 X1 X1 X1 X2 X2 + 6 X1 X1 X2 X1 X1 + 12 X1 X1 X2 X1 X2",
+        "- 22 X1 X1 X2 X2 X2 + 3 X1 X2 X1 X1 X1 + 6 X1 X2 X1 X1 X2 + 9 X1 X2 X1 X2 X2",
+        "- 8 X1 X2 X2 X2 X2 + X2 X1 X1 X1 X1 + 2 X2 X1 X1 X1 X2 + 3 X2 X1 X1 X2 X2",
+        "+ 4 X2 X1 X2 X2 X2 - X2 X2 X2 X2 X2"])
+    code, out, _ = run(capsys, "free", "magnus", "x1^-3 x2 x1^-1 x2^-2", "--rank", "2",
+                       "--cap", "5")
+    assert (code, out) == (0, series + "\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("free", "magnus", "x1 x2 x1^-1 x2^-1 x1^2 x2^-3", "--cap", "40"),
+    ("free", "depth", "x1 x2 x1^-1 x2^-1", "--cap", "100001"),
+    ("free", "magnus", "1", "--rank", "2", "--cap", "1000000000"),
+])
+def test_series_beyond_the_term_bound_exits_1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    _one_line_error(code, err, "InputError")
+    assert "may hold more than" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("free", "sign", "x3", "--ordering", LEX_JSON),
     ("free", "compare", "x1", "x2 x0", "--ordering", LEX_JSON),

@@ -1,9 +1,11 @@
-"""Word arithmetic against the independent reference in ``bench/oracle.py``.
+"""Word arithmetic and series against the independent reference in ``bench/oracle.py``.
 
 The library builds products, inverses, powers, conjugates, roots, ball
 words and endomorphism images without re-validating them; each property
 compares such a word with the oracle's letters and with the same letters
-sent through the validating constructor ``Word(rank, letters)``.
+sent through the validating constructor ``Word(rank, letters)``.  The
+in-place series expansion is compared with the oracle's dict-rebuilding
+one, and leading coordinates with the oracle's reconstruction.
 """
 
 import importlib.util
@@ -13,7 +15,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grouporders.words import Endomorphism, Word, ball_words, common_power, primitive_root
+from grouporders.errors import DepthExceedsCap
+from grouporders.hall import leading_coords
+from grouporders.series import magnus, magnus_part
+from grouporders.words import (Endomorphism, Word, ball_words, common_power, primitive_root,
+                               word)
 
 _spec = importlib.util.spec_from_file_location(
     "grouporders_bench_oracle", Path(__file__).resolve().parents[1] / "bench" / "oracle.py")
@@ -110,3 +116,43 @@ def test_roots_and_common_powers_agree_with_the_oracle(case):
 def test_ball_words_agree_with_the_oracle(rank, radius):
     words = [_validated(w) for w in ball_words(rank, radius)]
     assert [w.letters for w in words] == oracle.ball(rank, radius)
+
+
+@st.composite
+def _word_and_cap(draw, max_blocks=6):
+    """rank, a reduced word of generator powers x_i^e with |e| <= 4, so runs of
+    inverse letters are common, often a commutator of two such words, and a
+    cap in 1..7, at most 5 for rank-3 words of more than 12 letters."""
+    rank = draw(st.integers(1, 3))
+    blocks = st.lists(st.tuples(st.integers(1, rank), st.integers(-4, 4)), max_size=max_blocks)
+    u, v = (tuple(x if e > 0 else -x for x, e in draw(blocks) for _ in range(abs(e)))
+            for _ in range(2))
+    w = word(rank, oracle.commutator(u, v) if draw(st.booleans()) else u)
+    return rank, w, draw(st.integers(1, 7 if rank < 3 or len(w.letters) <= 12 else 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_word_and_cap())
+def test_magnus_agrees_with_the_oracle(case):
+    _, w, cap = case
+    assert dict(magnus(w, cap).coeffs) == oracle.magnus(w.letters, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_word_and_cap())
+def test_one_degree_reader_matches_the_full_series(case):
+    _, w, degree = case
+    assert magnus_part(w, degree) == magnus(w, degree).graded_part(degree)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_word_and_cap(max_blocks=4))
+def test_leading_coords_agree_with_the_oracle(case):
+    rank, w, cap = case
+    assume(not w.is_identity())
+    try:
+        depth, coords = leading_coords(w, cap)
+    except DepthExceedsCap:
+        assert oracle.magnus(w.letters, cap) == {(): 1}
+        return
+    assert oracle.check_leading_coords(rank, w.letters, depth, coords) is None

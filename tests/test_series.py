@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grouporders.errors import DimensionMismatch, EmptyWord
-from grouporders.series import TruncatedSeries, concat, lcs_depth, leading_part, magnus, one
+from grouporders.errors import DimensionMismatch, EmptyWord, InputError
+from grouporders.series import (MAX_SERIES_TERMS, TruncatedSeries, concat, lcs_depth,
+                                leading_part, magnus, magnus_part, one)
 from grouporders.words import commutator, generator, identity_word, parse_word, word
 
 
@@ -60,12 +61,22 @@ def test_depth_rejects_identity():
 
 
 def test_depth_rejects_cap_below_one_on_every_path():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         lcs_depth(generator(2, 1), 0)  # nonzero exponent sum: no series built
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError):
         lcs_depth(commutator(generator(2, 1), generator(2, 2)), 0)
     with pytest.raises(EmptyWord):
         leading_part(identity_word(2), 0)
+
+
+def test_every_series_reader_refuses_a_low_cap_or_an_oversized_series():
+    w = commutator(generator(2, 1), generator(2, 2))  # zero exponent sums: a series is built
+    for reader in (magnus, magnus_part, leading_part):
+        with pytest.raises(InputError, match="at least 1"):
+            reader(w, 0)
+        with pytest.raises(InputError, match="may hold more than"):
+            reader(w, MAX_SERIES_TERMS)
+    assert leading_part(generator(2, 1), MAX_SERIES_TERMS) == (1, {(1,): 1})
 
 
 @settings(max_examples=200, deadline=None)
