@@ -7,10 +7,11 @@ layer is a basis of the degree-i homogeneous Lie elements, and the class of
 a depth-i word inside the i-th lower-central quotient is read off by
 decomposing the degree-i part of its series image over the layer.
 
-The decomposition is triangular and integer-only, because the bracket of a
-Lyndon word w expands as w plus lexicographically larger words (Reutenauer,
-*Free Lie Algebras*, Thm 5.1).  Bases and bracket expansions are cached per
-(rank, weight); everything they return is immutable.
+The bracket of a Lyndon word w expands as w plus lexicographically larger
+words (Reutenauer, *Free Lie Algebras*, Thm 5.1), so the coefficients on
+Lyndon words alone give the coordinates, by forward substitution against a
+unitriangular integer matrix.  Bases, bracket expansions and triangles are
+cached per (rank, weight); everything they return is immutable.
 """
 
 from __future__ import annotations
@@ -60,8 +61,17 @@ def _bracketing(w: tuple[int, ...]) -> Bracket:
     return (_bracketing(w[:split]), _bracketing(w[split:]))
 
 
+@lru_cache(maxsize=None)
 def layer_rank(rank: int, weight: int) -> int:
-    return len(lyndon_words(rank, weight))
+    """Number of Lyndon words of a length, by Witt's formula, listing none.
+
+    Each word of length n is a power of a rotation of one Lyndon word of
+    length d | n, so rank^n = sum over d | n of d * layer_rank(rank, d).
+    """
+    if weight < 1:
+        return 0
+    proper = sum(d * layer_rank(rank, d) for d in range(1, weight // 2 + 1) if weight % d == 0)
+    return (rank ** weight - proper) // weight
 
 
 def bracket_word(rank: int, b: Bracket) -> Word:
@@ -90,43 +100,31 @@ def monomials(rank: int, degree: int) -> tuple[Monomial, ...]:
 
 
 @lru_cache(maxsize=None)
-def _lyndon_index(rank: int, weight: int) -> dict[tuple[int, ...], int]:
-    return {w: i for i, w in enumerate(lyndon_words(rank, weight))}
+def _triangle(rank: int, weight: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row i: (k, coefficient) of each Lyndon word k > i in bracket i's expansion."""
+    index = {w: k for k, w in enumerate(lyndon_words(rank, weight))}
+    rows = []
+    for i, b in enumerate(basis_layer(rank, weight)):
+        row = sorted((index[m], c) for m, c in bracket_expansion(b).items() if m in index)
+        if row[:1] != [(i, 1)]:
+            raise AssertionError(f"bracket {b} is not word {i} plus later Lyndon words")
+        rows.append(tuple(row[1:]))
+    return tuple(rows)
 
 
-def decompose_lie(rank: int, weight: int,
-                  part: dict[Monomial, int]) -> tuple[int, ...] | None:
-    """Coordinates of a homogeneous degree part over the basis layer.
+def decompose_lie(rank: int, weight: int, part: dict[Monomial, int]) -> tuple[int, ...]:
+    """Coordinates over the basis layer of a degree part that is a Lie element.
 
-    Repeatedly takes the lex-least monomial m left, with coefficient c, and
-    subtracts c times the expansion of the bracket of m.  Returns None, the
-    part not being a Lie element, when some such m is not a Lyndon word.
+    Forward substitution: coordinate i is Lyndon word i's coefficient less
+    what the brackets before i put there.
     """
-    index = _lyndon_index(rank, weight)
-    layer = basis_layer(rank, weight)
-    coords = [0] * len(layer)
-    rest = {m: c for m, c in part.items() if c != 0}
-    while rest:
-        m = min(rest)
-        i = index.get(m)
-        if i is None:
-            return None
-        c = coords[i] = rest[m]
-        for mono, x in bracket_expansion(layer[i]).items():
-            value = rest.get(mono, 0) - c * x
-            if value:
-                rest[mono] = value
-            else:
-                del rest[mono]
+    coords = [part.get(w, 0) for w in lyndon_words(rank, weight)]
+    for i, row in enumerate(_triangle(rank, weight)):
+        c = coords[i]
+        if c:
+            for k, x in row:
+                coords[k] -= c * x
     return tuple(coords)
-
-
-def lie_coords(rank: int, weight: int, part: dict[Monomial, int]) -> tuple[int, ...]:
-    """:func:`decompose_lie` of a group element's leading part, which is Lie."""
-    coords = decompose_lie(rank, weight, part)
-    if coords is None:
-        raise AssertionError("leading part of a group element must be Lie")
-    return coords
 
 
 def coords_at_level(w: Word, level: int) -> tuple[int, ...]:
@@ -141,7 +139,7 @@ def coords_at_level(w: Word, level: int) -> tuple[int, ...]:
     if depth < level:
         raise DepthExceedsCap(
             f"word has depth {depth} < requested level {level}")
-    return lie_coords(w.rank, level, part)
+    return decompose_lie(w.rank, level, part)
 
 
 def leading_coords(w: Word, cap: int) -> tuple[int, tuple[int, ...]]:
@@ -150,7 +148,7 @@ def leading_coords(w: Word, cap: int) -> tuple[int, tuple[int, ...]]:
     if lead is None:
         raise DepthExceedsCap(f"word is trivial in every quotient up to class {cap}")
     depth, part = lead
-    return depth, lie_coords(w.rank, depth, part)
+    return depth, decompose_lie(w.rank, depth, part)
 
 
 def induced_matrix(phi: Endomorphism, level: int) -> tuple[tuple[int, ...], ...]:

@@ -42,7 +42,7 @@ from . import exactlin, hall
 from .errors import (CommonRoot, DepthCapExceeded, DepthExceedsCap, DimensionMismatch,
                      EmptyWord, InputError, ParseError)
 from .exactlin import strict_separator
-from .hall import layer_rank, leading_coords, lie_coords, monomials
+from .hall import decompose_lie, layer_rank, leading_coords, monomials
 from .series import Monomial, concat, leading_part, magnus_part
 from .words import (MAX_BALL_WORDS, Word, ball_size, ball_words, common_root, generator,
                     identity_word)
@@ -50,13 +50,37 @@ from .znord import (FlagOrdering, complete_flag, flag_sign, opposite as flag_opp
                     positive_ratio)
 
 POWER_BOUND = 64  # largest exponent a or b that separate tries in g^a, k^b
+MAX_FLAG_ENTRIES = 100_000  # no ordering holds level flags with more matrix entries
+
+
+def _check_int(name: str, value) -> None:
+    """Refuse a float, bool or string where JSON must give an integer."""
+    if type(value) is not int:
+        raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_flag_entries(rank: int, cap: int) -> None:
+    """Refuse level flags that would hold more than MAX_FLAG_ENTRIES entries,
+    before any is built; layer ranks are counted, not listed."""
+    total = 0
+    for i in range(1, cap + 1):
+        n = layer_rank(rank, i)
+        total += n * n
+        if total > MAX_FLAG_ENTRIES:
+            raise InputError(f"flags on levels 1..{cap} of rank {rank} hold more than "
+                             f"{MAX_FLAG_ENTRIES} entries")
+        if n == 0:  # rank 1 past level 1: no flag exists, and building one fails
+            return
 
 
 def _check_levels(rank: int, cap: int, levels: Sequence[FlagOrdering]):
+    _check_int("rank", rank)
+    _check_int("class", cap)
     if rank < 1 or cap < 1:
         raise InputError(f"rank {rank} and class {cap}: both must be at least 1")
     if len(levels) != cap:
         raise DimensionMismatch(f"expected {cap} level flags, got {len(levels)}")
+    _check_flag_entries(rank, cap)
     for i, flag in enumerate(levels, start=1):
         expected = layer_rank(rank, i)
         if flag.dimension != expected:
@@ -105,6 +129,7 @@ def identity_levels(rank: int, cap: int) -> tuple[FlagOrdering, ...]:
     """Identity flags on levels 1..cap; cached, since flags are immutable."""
     if rank < 1:
         raise InputError(f"rank {rank} is below 1")
+    _check_flag_entries(rank, cap)
     return tuple(FlagOrdering.identity(layer_rank(rank, i))
                  for i in range(1, cap + 1))
 
@@ -140,9 +165,13 @@ class TwistedOrdering:
 
     def __post_init__(self):
         _check_levels(self.rank, self.cap, tuple(self.levels))
+        _check_int("pivot_level", self.pivot_level)
+        _check_int("twist_degree", self.twist_degree)
         if not 1 <= self.pivot_level < self.twist_degree <= self.cap:
             raise DimensionMismatch("need 1 <= pivot level < twist degree <= cap")
-        u = tuple(int(x) for x in self.pivot_coords)
+        u = tuple(self.pivot_coords)
+        for x in u:
+            _check_int("a pivot coordinate", x)
         if len(u) != layer_rank(self.rank, self.pivot_level) or all(x == 0 for x in u):
             raise DimensionMismatch("pivot coordinates must be a nonzero level vector")
         object.__setattr__(self, "pivot_coords", u)
@@ -158,11 +187,11 @@ class TwistedOrdering:
             raise DepthExceedsCap(f"word not visible at class cap {self.cap}")
         depth, part = lead
         d, j = self.pivot_level, self.twist_degree
+        c = decompose_lie(self.rank, depth, part)
         if depth < d:
-            return flag_sign(self.levels[depth - 1], lie_coords(self.rank, depth, part))
+            return flag_sign(self.levels[depth - 1], c)
         s = Fraction(0)
         if depth == d:
-            c = lie_coords(self.rank, d, part)
             u = self.pivot_coords
             i = next(k for k, x in enumerate(u) if x)
             for k in range(len(u)):
@@ -177,7 +206,7 @@ class TwistedOrdering:
         if s != 0:
             return 1 if s > 0 else -1
         # remaining words sit strictly below the pivot level: plain level scan
-        return flag_sign(self.levels[depth - 1], lie_coords(self.rank, depth, part))
+        return flag_sign(self.levels[depth - 1], c)
 
     def to_json(self) -> dict:
         return {

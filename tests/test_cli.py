@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from grouporders.cli import main
-from grouporders.stdord import identity_ordering
+from grouporders.stdord import identity_ordering, separate
+from grouporders.words import parse_word
 
 
 def run(capsys, *argv):
@@ -348,3 +353,108 @@ def test_series_beyond_the_term_bound_exits_1(capsys, argv):
 def test_words_outside_the_rank_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
     _one_line_error(code, err, "ParseError")
+
+
+TWISTED_JSON = json.dumps(
+    separate(parse_word("x1 x2", 2), parse_word("x2 x1", 2)).to_json())
+
+
+def _with(spec, **fields):
+    data = json.loads(spec)
+    data.update(fields)
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("spec", [
+    _with(LEX_JSON, rank=2.5),
+    _with(LEX_JSON, rank=100_000_000),
+    _with(LEX_JSON, rank=True),
+    _with(LEX_JSON, **{"class": 5.0}),
+    _with(TWISTED_JSON, pivot_level=1.0),
+    _with(TWISTED_JSON, twist_degree="2"),
+    _with(TWISTED_JSON, pivot_coords=[1.5, 1]),
+    _with(TWISTED_JSON, rank=100_000_000),
+])
+def test_ordering_json_needs_integer_fields_and_a_bounded_rank(capsys, spec):
+    code, _, err = run(capsys, "free", "sign", "x1", "--ordering", spec)
+    _one_line_error(code, err, "InputError")
+
+
+@pytest.mark.parametrize("argv", [
+    ("free", "sign", "x1 x2 x1^-1 x2^-1", "--rank", "3", "--cap", "9"),
+    ("free", "axioms", "--rank", "400", "--radius", "1"),
+    ("free", "compare", "x1", "x2", "--cap", "1000000000"),
+    ("aut", "pull", "x1 -> x1 x2", "x1", "--rank", "2", "--cap", "12"),
+])
+def test_flags_beyond_the_entry_bound_exit_1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    _one_line_error(code, err, "InputError")
+    assert "hold more than" in err
+
+
+def _pieces(*texts, size=4, sep=" "):
+    return st.lists(st.sampled_from(texts), max_size=size).map(sep.join)
+
+
+# well-formed pieces are the majority, so that most draws get past the parser
+_words = _pieces("x1", "x2", "x1^-1", "x2^-1", "x1^-2", "x2^3", "x3", "1", "x0", "x1^",
+                 "^2", "x1^1.5", "y")
+_small = st.sampled_from(["-1", "0", "1", "2", "2", "3", "3", "x"])
+_matrices = _pieces("1 0", "0 1", "1 1", "0", "1/0", "1/2 0", "a", "", "1 0 0", size=3,
+                    sep="; ")
+_maps = _pieces("x1 -> x1 x2", "x2 -> x2", "x1 -> x2", "x2 -> x1", "x2 -> x1^-1", "x1 -> x1",
+                "x3 -> x1", "x1 ->", "x1 x2", "x2 -> 1", size=3, sep=" ; ")
+_klein_words = _pieces("x", "y", "x^2", "y^-1", "x^a", "z", "1", "x^1000000001")
+_klein_maps = _pieces("x -> x y", "y -> y^-1", "x -> x^-1", "y -> x", "x", "z -> y",
+                      size=2, sep=" ; ")
+_junk = [2.0, 2.5, True, "2", None, [], {}, -1, 0, 10**8, [[1]], [{"rows": [[True]]}]]
+
+
+@st.composite
+def _orderings(draw):
+    """'lex', a missing file, or ordering JSON with one field replaced or dropped."""
+    data = json.loads(draw(st.sampled_from([LEX_JSON, TWISTED_JSON])))
+    key = draw(st.sampled_from(sorted(data) + ["levels"]))
+    if draw(st.booleans()):
+        data[key] = draw(st.sampled_from(_junk))
+    else:
+        data.pop(key, None)
+    return draw(st.sampled_from(["lex", "no-such-file", json.dumps(data)]))
+
+
+_commands = st.one_of(
+    st.tuples(st.just("zn"), st.just("sign"), st.just("--matrix"), _matrices,
+              st.just("--vector"), _pieces("1", "-2", "0", "x")),
+    st.tuples(st.just("zn"), st.just("act"), st.just("--matrix"), _matrices,
+              st.just("--flag"), _matrices),
+    st.tuples(st.just("zn"), st.just("witness"), st.just("--matrix"), _matrices),
+    st.tuples(st.just("zn"), st.just("realize"), st.just("--vectors"), _matrices),
+    st.tuples(st.just("free"), st.sampled_from(["depth", "coords", "magnus", "sign"]),
+              _words, st.just("--rank"), _small, st.just("--cap"), _small),
+    st.tuples(st.just("free"), st.sampled_from(["compare", "separate"]), _words, _words,
+              st.just("--cap"), _small),
+    st.tuples(st.just("free"), st.just("sign"), _words, st.just("--ordering"), _orderings()),
+    st.tuples(st.just("free"), st.just("compare"), _words, _words, st.just("--ordering"),
+              _orderings()),
+    st.tuples(st.just("free"), st.just("axioms"), st.just("--ordering"), _orderings(),
+              st.just("--radius"), _small),
+    st.tuples(st.just("free"), st.just("distance"), st.just("--ordering1"), _orderings(),
+              st.just("--ordering2"), _orderings(), st.just("--radius"), _small),
+    st.tuples(st.just("aut"), st.sampled_from(["witness", "boundary"]), _maps,
+              st.just("--rank"), _small),
+    st.tuples(st.just("aut"), st.just("pull"), _maps, _words, st.just("--cap"), _small),
+    st.tuples(st.just("aut"), st.just("root"), _words),
+    st.tuples(st.just("aut"), st.just("common-power"), _words, _words),
+    st.tuples(st.just("klein"), st.just("mul"), _klein_words, _klein_words),
+    st.tuples(st.just("klein"), st.just("pull"), _klein_maps,
+              st.sampled_from(["++", "(+,-)", "+", "()", "(-,+)", "+-+"])),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_commands)
+@example(("free", "sign", "x1 x2 x1^-1 x2^-1", "--ordering", _with(LEX_JSON, **{"class": 5.0})))
+def test_malformed_input_gets_an_exit_code_not_a_traceback(argv):
+    # no capsys: hypothesis reruns the body, and a function fixture is not reset
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(list(argv)) in (0, 1, 2, 3)

@@ -1,4 +1,4 @@
-"""The checks of exactlin, znord, klein and series survive ``python -O``.
+"""The checks of exactlin, znord, klein, hall and series survive ``python -O``.
 
 Each case patches the helper a check relies on so that the check must fail,
 runs the call in a ``-O`` subprocess and expects the check's own error.
@@ -14,7 +14,7 @@ import grouporders
 
 CODE = textwrap.dedent("""
     from fractions import Fraction
-    from grouporders import exactlin, klein, znord
+    from grouporders import exactlin, hall, klein, znord
     from grouporders.errors import DimensionMismatch
     from grouporders.series import magnus
     from grouporders.words import parse_word
@@ -68,6 +68,9 @@ CODE = textwrap.dedent("""
           [(klein, "is_inner", lambda phi: None)])
     check("conjugation by y must be nontrivial and fix every cone", klein.k_out_table,
           [(klein, "k_pull", lambda phi, ordering: orderings[0])])
+
+    check("is not word 0 plus later Lyndon words", lambda: hall.decompose_lie(2, 3, {}),
+          [(hall, "bracket_expansion", lambda b: {})])
 
     check("equal rank and cap",
           lambda: magnus(parse_word("x1", 2), 3) * magnus(parse_word("x2", 2), 4),

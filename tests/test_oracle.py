@@ -5,7 +5,11 @@ words and endomorphism images without re-validating them; each property
 compares such a word with the oracle's letters and with the same letters
 sent through the validating constructor ``Word(rank, letters)``.  The
 in-place series expansion is compared with the oracle's dict-rebuilding
-one, and leading coordinates with the oracle's reconstruction.
+one, and leading coordinates with the oracle's reconstruction.  Separating
+orderings, cone certificates and Klein bottle products and pulls are
+checked with the oracle's own flag signs, certificate checks and normal
+forms; twisted orderings, which the oracle cannot sign, keep the
+references in ``tests/test_stdord.py``.
 """
 
 import importlib.util
@@ -15,9 +19,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grouporders.errors import DepthExceedsCap
+from grouporders.errors import CommonRoot, DepthCapExceeded, DepthExceedsCap, NoSeparator
+from grouporders.exactlin import Halfspace, classify_cone, strict_separator
 from grouporders.hall import leading_coords
+from grouporders.klein import KleinAut, KleinElement, k_enumerate_orderings, k_mul, k_pull
 from grouporders.series import magnus, magnus_part
+from grouporders.stdord import StandardOrdering, separate
 from grouporders.words import (Endomorphism, Word, ball_words, common_power, primitive_root,
                                word)
 
@@ -156,3 +163,79 @@ def test_leading_coords_agree_with_the_oracle(case):
         assert oracle.magnus(w.letters, cap) == {(): 1}
         return
     assert oracle.check_leading_coords(rank, w.letters, depth, coords) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(_powers_of_one_root())
+def test_separate_signs_agree_with_the_oracle_flags(case):
+    rank, g, k = case
+    # F_1 has no level-2 flag, so no class-5 ordering
+    assume(rank > 1 and g != k)
+    common = oracle.primitive_root(g) == oracle.primitive_root(k)
+    try:
+        ordering = separate(Word(rank, g), Word(rank, k), 5)
+    except CommonRoot:
+        assert common
+        return
+    except DepthCapExceeded:
+        assert not common
+        return
+    assert not common
+    if not isinstance(ordering, StandardOrdering):
+        return
+    for letters, expected in ((g, 1), (k, -1)):
+        depth, coords = leading_coords(Word(rank, letters), 5)
+        assert oracle.check_leading_coords(rank, letters, depth, coords) is None
+        rows = [oracle.integer_row(row) for row in ordering.levels[depth - 1].rows]
+        assert oracle.full_rank(rows)
+        assert oracle.flag_sign(rows, coords) == expected
+
+
+@st.composite
+def _cone_vectors(draw):
+    """1..5 nonzero integer vectors of one dimension in 1..4, entries in -3..3."""
+    n = draw(st.integers(1, 4))
+    vector = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+    return draw(st.lists(vector, min_size=1, max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cone_vectors(), st.data())
+def test_cone_certificates_pass_the_oracle_checks(vectors, data):
+    cert = classify_cone(vectors)
+    if isinstance(cert, Halfspace):
+        assert oracle.check_halfspace(cert.functional, vectors) is None
+    else:
+        assert oracle.check_zero_combo(cert.coefficients, vectors) is None
+    # a strict separator of pos from neg is a half-space on pos and -neg
+    split = data.draw(st.integers(1, len(vectors)))
+    pos, neg = vectors[:split], vectors[split:] or [tuple(-x for x in vectors[0])]
+    flipped = pos + [tuple(-x for x in q) for q in neg]
+    try:
+        f = strict_separator(pos, neg)
+    except NoSeparator:
+        combo = classify_cone(flipped)
+        assert oracle.check_zero_combo(combo.coefficients, flipped) is None
+        return
+    assert oracle.check_halfspace(f, flipped) is None
+
+
+_klein_elements = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_klein_elements, _klein_elements, st.sampled_from([1, -1]), st.integers(-3, 3),
+       st.sampled_from([1, -1]))
+def test_klein_products_and_pulls_agree_with_the_oracle(p, q, eps, m, delta):
+    product = k_mul(KleinElement(*p), KleinElement(*q))
+    assert (product.a, product.b) == oracle.k_mul(p, q)
+    # every automorphism of K sends x to x^eps y^m and y to y^delta
+    image_x, image_y = (eps, m), (0, delta)
+    phi = KleinAut(KleinElement(*image_x), KleinElement(*image_y))
+    image = phi.apply(KleinElement(*p))
+    assert (image.a, image.b) == oracle.k_apply(image_x, image_y, p)
+    for ordering in k_enumerate_orderings():
+        pulled = k_pull(phi, ordering)
+        for r in oracle.k_ball(3):
+            assert pulled.sign(KleinElement(*r)) == oracle.k_sign(
+                ordering.eps, ordering.delta, oracle.k_apply(image_x, image_y, r))

@@ -19,7 +19,7 @@ from grouporders.errors import (CommonRoot, DepthCapExceeded, DepthExceedsCap,
                                 DimensionMismatch, EmptyWord, GroupOrderError, InputError,
                                 ParseError)
 from grouporders.exactlin import dot, kernel_basis, vector
-from grouporders.hall import layer_rank, leading_coords, lie_coords, monomials
+from grouporders.hall import decompose_lie, layer_rank, leading_coords, monomials
 from grouporders.report import random_standard_ordering
 from grouporders.series import magnus
 from grouporders.stdord import (AxiomReport, StandardOrdering, TwistedOrdering, ball_distance,
@@ -502,10 +502,10 @@ def _reference_twisted_sign(o, w):
         raise DepthExceedsCap(f"word not visible at class cap {o.cap}")
     d = o.pivot_level
     if depth < d:
-        coords = lie_coords(o.rank, depth, series.graded_part(depth))
+        coords = decompose_lie(o.rank, depth, series.graded_part(depth))
         return flag_sign(o.levels[depth - 1], coords)
     if depth == d:
-        coords = lie_coords(o.rank, d, series.graded_part(d))
+        coords = decompose_lie(o.rank, d, series.graded_part(d))
     else:
         coords = tuple(0 for _ in range(layer_rank(o.rank, d)))
     u = vector(o.pivot_coords)
@@ -522,7 +522,7 @@ def _reference_twisted_sign(o, w):
         return 1 if rho > 0 else -1
     if s != 0:
         return 1 if s > 0 else -1
-    coords = lie_coords(o.rank, depth, series.graded_part(depth))
+    coords = decompose_lie(o.rank, depth, series.graded_part(depth))
     return flag_sign(o.levels[depth - 1], coords)
 
 
