@@ -25,6 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionMismatch, EmptyInput, NoSeparator, ParseError, ZeroVectorInput
@@ -224,67 +225,38 @@ def _find_zero_combo(vs: Sequence[Vector]) -> ZeroCombo | None:
     return None
 
 
-# Fourier-Motzkin feasibility for systems of inequalities sum(c_i x_i) >= b.
-
-
-def _fm_eliminate(constraints: list[tuple[tuple[Fraction, ...], Fraction]], var: int):
-    lowers, uppers, rest = [], [], []
-    for coeffs, b in constraints:
-        c = coeffs[var]
-        if c > 0:
-            lowers.append((coeffs, b))
-        elif c < 0:
-            uppers.append((coeffs, b))
-        else:
-            rest.append((coeffs, b))
-    for lc, lb in lowers:
-        for uc, ub in uppers:
-            # combine x >= (lb - lrest)/lc with x <= (ub - urest)/uc
-            scale_l = -uc[var]
-            scale_u = lc[var]
-            coeffs = tuple(scale_l * a + scale_u * b2 for a, b2 in zip(lc, uc))
-            rest.append((coeffs[:var] + (Fraction(0),) + coeffs[var + 1:],
-                         scale_l * lb + scale_u * ub))
-    seen = set()
-    out = []
-    for coeffs, b in rest:
-        key = (coeffs, b)
-        if key not in seen:
-            seen.add(key)
-            out.append((coeffs, b))
-    return out
-
-
 def solve_inequalities(constraints: list[tuple[Vector, Fraction]], nvars: int) -> Vector | None:
     """A point satisfying every ``coeffs . x >= b``, or None.
 
-    Variables are eliminated from the last index down, then assigned back in
-    ascending order, taking the max lower bound (else min upper bound, else
-    zero).  The procedure is deterministic and seed-free.
+    Fourier-Motzkin: variables are eliminated from the last index down, each
+    distinct derived constraint kept once, then assigned back in ascending
+    order from the bounds recorded at elimination, taking the max lower bound
+    (else min upper bound, else zero).  The procedure is deterministic and
+    seed-free.
     """
-    systems = [list(constraints)]
+    system = list(constraints)
+    bounds = []  # (lowers, uppers) of each variable, last index first
     for var in range(nvars - 1, -1, -1):
-        systems.append(_fm_eliminate(systems[-1], var))
-    final = systems[-1]
-    if any(b > 0 for _, b in final):
-        return None
-    values: list[Fraction] = [Fraction(0)] * nvars
-    for var in range(nvars):
-        system = systems[nvars - 1 - var]
-        lowers, uppers = [], []
+        lowers, uppers, rest = [], [], []
         for coeffs, b in system:
             c = coeffs[var]
-            if c == 0:
-                continue
-            residual = b - sum(coeffs[i] * values[i] for i in range(var))
-            bound = residual / c
-            (lowers if c > 0 else uppers).append(bound)
-        if lowers:
-            values[var] = max(lowers)
-        elif uppers:
-            values[var] = min(uppers)
-        else:
-            values[var] = Fraction(0)
+            (lowers if c > 0 else uppers if c < 0 else rest).append((coeffs, b))
+        for lc, lb in lowers:
+            for uc, ub in uppers:
+                # combine x >= (lb - lrest)/lc with x <= (ub - urest)/uc
+                scale_l, scale_u = -uc[var], lc[var]
+                coeffs = tuple(scale_l * a + scale_u * b for a, b in zip(lc, uc))
+                rest.append((coeffs[:var] + (Fraction(0),) + coeffs[var + 1:],
+                             scale_l * lb + scale_u * ub))
+        system = list(dict.fromkeys(rest))
+        bounds.append((lowers, uppers))
+    if any(b > 0 for _, b in system):
+        return None
+    values: list[Fraction] = []
+    for var, (lowers, uppers) in enumerate(reversed(bounds)):
+        found = [(b - sum(map(mul, coeffs, values))) / coeffs[var]
+                 for coeffs, b in lowers or uppers]
+        values.append(max(found) if lowers else min(found) if uppers else Fraction(0))
     return tuple(values)
 
 

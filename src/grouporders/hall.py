@@ -19,9 +19,9 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .errors import DepthExceedsCap
+from .errors import DepthExceedsCap, InputError
 from .series import Monomial, concat, leading_part
-from .words import Endomorphism, Word, commutator, generator
+from .words import MAX_SERIES_TERMS, Endomorphism, Word, commutator, generator
 
 # A bracket is either a generator index or a pair of brackets.
 Bracket = int | tuple
@@ -33,7 +33,11 @@ def lyndon_words(rank: int, weight: int) -> tuple[tuple[int, ...], ...]:
 
     Duval's step to the next Lyndon word of length <= weight: repeat the word
     to length weight, drop trailing letters equal to rank, raise the last.
+    A layer longer than MAX_SERIES_TERMS is refused before it is listed.
     """
+    if layer_rank(rank, weight) > MAX_SERIES_TERMS:
+        raise InputError(f"level {weight} of rank {rank} has more than "
+                         f"{MAX_SERIES_TERMS} basic commutators")
     words = []
     w = [1] if rank > 0 else []
     while w:

@@ -187,10 +187,11 @@ def leading_part(w: Word, cap: int) -> tuple[int, dict[Monomial, int]] | None:
         raise EmptyWord("depth is undefined for the identity")
     if cap < 1:
         raise InputError("cap must be at least 1")
-    sums = [0] * (w.rank + 1)
+    sums: dict[int, int] = {}
     for letter in w.letters:
-        sums[abs(letter)] += 1 if letter > 0 else -1
-    linear = {(i,): c for i, c in enumerate(sums) if c != 0}
+        i = abs(letter)
+        sums[i] = sums.get(i, 0) + (1 if letter > 0 else -1)
+    linear = {(i,): c for i, c in sorted(sums.items()) if c != 0}
     if linear:
         return 1, linear
     parts = _expand(w, cap)

@@ -61,16 +61,18 @@ def _check_int(name: str, value) -> None:
 
 def _check_flag_entries(rank: int, cap: int) -> None:
     """Refuse level flags that would hold more than MAX_FLAG_ENTRIES entries,
-    before any is built; layer ranks are counted, not listed."""
+    or a level with no flag, before any is built; layer ranks are counted,
+    not listed."""
     total = 0
     for i in range(1, cap + 1):
         n = layer_rank(rank, i)
+        if n == 0:
+            raise InputError(f"rank {rank} has no level-{i} flag, so class {cap} "
+                             f"is out of reach; F_1 has class 1")
         total += n * n
         if total > MAX_FLAG_ENTRIES:
             raise InputError(f"flags on levels 1..{cap} of rank {rank} hold more than "
                              f"{MAX_FLAG_ENTRIES} entries")
-        if n == 0:  # rank 1 past level 1: no flag exists, and building one fails
-            return
 
 
 def _check_levels(rank: int, cap: int, levels: Sequence[FlagOrdering]):

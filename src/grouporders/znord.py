@@ -16,7 +16,7 @@ from itertools import product
 from operator import mul
 
 from . import exactlin
-from .errors import DimensionMismatch, IsIdentity, NoCone
+from .errors import DimensionMismatch, InputError, IsIdentity, NoCone
 from .exactlin import Matrix, classify_cone, clear_denominators, matrix, vector
 
 
@@ -76,7 +76,11 @@ class FlagOrdering:
 
     @classmethod
     def from_json(cls, data) -> "FlagOrdering":
-        return cls(matrix(data["rows"]))
+        rows = data["rows"]
+        n = data.get("n", len(rows))  # optional; written by to_json
+        if type(n) is not int or n != len(rows):
+            raise InputError(f"flag gives n = {n!r} but has {len(rows)} rows")
+        return cls(matrix(rows))
 
     @classmethod
     def identity(cls, n: int) -> "FlagOrdering":

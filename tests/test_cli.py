@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import re
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -390,6 +391,61 @@ def test_flags_beyond_the_entry_bound_exit_1(capsys, argv):
     code, _, err = run(capsys, *argv)
     _one_line_error(code, err, "InputError")
     assert "hold more than" in err
+
+
+RANK_ONE_CLASS_TWO = json.dumps({"rank": 1, "class": 2, "levels": [{"rows": [["1"]]}] * 2})
+
+
+@pytest.mark.parametrize("argv", [
+    ("free", "sign", "x1", "--rank", "1"),
+    ("free", "separate", "x1", "x1^-1", "--rank", "1"),
+    ("free", "sign", "x1", "--ordering", RANK_ONE_CLASS_TWO),
+])
+def test_rank_one_beyond_class_one_exits_1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    _one_line_error(code, err, "InputError")
+    assert "rank 1 has no level-2 flag" in err and "F_1 has class 1" in err
+
+
+def test_rank_one_at_class_one_answers(capsys):
+    assert run(capsys, "free", "sign", "x1^-2", "--rank", "1", "--cap", "1")[:2] == \
+        (0, "Negative\n")
+    code, out, _ = run(capsys, "free", "separate", "x1", "x1^-1", "--rank", "1",
+                       "--cap", "1", "--json")
+    assert code == 0 and json.loads(out)["levels"] == [{"n": 1, "rows": [["1"]]}]
+
+
+@pytest.mark.parametrize("argv", [
+    ("free", "coords", "x1", "--rank", "3000000"),
+    ("free", "separate", "x1", "x2", "--rank", "100000000", "--cap", "1"),
+])
+def test_layers_beyond_the_term_bound_exit_1(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    _one_line_error(code, err, "InputError")
+    assert "more than 100000 basic commutators" in err
+
+
+def test_depth_one_at_a_huge_rank_reads_the_exponent_sums(capsys):
+    start = time.perf_counter()
+    assert run(capsys, "free", "depth", "x1 x2^2", "--rank", "100000000")[:2] == (0, "1\n")
+    assert time.perf_counter() - start < 2  # no rank-sized list of exponent sums
+
+
+def _level_json(**level):
+    return json.dumps({"rank": 2, "class": 1,
+                       "levels": [dict(level, rows=[["1", "0"], ["0", "1"]])]})
+
+
+@pytest.mark.parametrize("n", [7, 1, 2.0, "2", True, None])
+def test_level_json_n_must_be_the_row_count(capsys, n):
+    code, _, err = run(capsys, "free", "sign", "x1", "--ordering", _level_json(n=n))
+    _one_line_error(code, err, "InputError")
+    assert "rows" in err
+
+
+def test_level_json_n_is_optional(capsys):
+    assert run(capsys, "free", "sign", "x1", "--ordering", _level_json())[:2] == \
+        (0, "Positive\n")
 
 
 def _pieces(*texts, size=4, sep=" "):

@@ -3,13 +3,13 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grouporders.errors import EmptyInput, NoSeparator, ZeroVectorInput
 from grouporders.exactlin import (Halfspace, ZeroCombo, classify_cone, clear_denominators,
                                   dot, kernel_basis, matrix, rank, scale_to_integers,
-                                  solve_linear, strict_separator, vector)
+                                  solve_inequalities, solve_linear, strict_separator, vector)
 
 
 def test_kernel_of_identity_is_empty():
@@ -114,6 +114,83 @@ def test_separator_output_verified(pos, neg):
         return
     assert all(dot(f, p) > 0 for p in pos)
     assert all(dot(f, q) < 0 for q in neg)
+
+
+def _reference_fm_eliminate(constraints, var):
+    """Fourier-Motzkin as it stood before the single-loop rewrite: one system per step."""
+    lowers, uppers, rest = [], [], []
+    for coeffs, b in constraints:
+        c = coeffs[var]
+        if c > 0:
+            lowers.append((coeffs, b))
+        elif c < 0:
+            uppers.append((coeffs, b))
+        else:
+            rest.append((coeffs, b))
+    for lc, lb in lowers:
+        for uc, ub in uppers:
+            scale_l = -uc[var]
+            scale_u = lc[var]
+            coeffs = tuple(scale_l * a + scale_u * b2 for a, b2 in zip(lc, uc))
+            rest.append((coeffs[:var] + (Fraction(0),) + coeffs[var + 1:],
+                         scale_l * lb + scale_u * ub))
+    seen = set()
+    out = []
+    for coeffs, b in rest:
+        key = (coeffs, b)
+        if key not in seen:
+            seen.add(key)
+            out.append((coeffs, b))
+    return out
+
+
+def _reference_solve_inequalities(constraints, nvars):
+    """Stores every intermediate system and splits each one again to back-substitute."""
+    systems = [list(constraints)]
+    for var in range(nvars - 1, -1, -1):
+        systems.append(_reference_fm_eliminate(systems[-1], var))
+    final = systems[-1]
+    if any(b > 0 for _, b in final):
+        return None
+    values = [Fraction(0)] * nvars
+    for var in range(nvars):
+        system = systems[nvars - 1 - var]
+        lowers, uppers = [], []
+        for coeffs, b in system:
+            c = coeffs[var]
+            if c == 0:
+                continue
+            residual = b - sum(coeffs[i] * values[i] for i in range(var))
+            bound = residual / c
+            (lowers if c > 0 else uppers).append(bound)
+        if lowers:
+            values[var] = max(lowers)
+        elif uppers:
+            values[var] = min(uppers)
+        else:
+            values[var] = Fraction(0)
+    return tuple(values)
+
+
+# zero often, so six dense constraints in six variables (a slow blow-up) stay rare
+_fm_entries = st.one_of(st.just(Fraction(0)), st.integers(-3, 3).map(Fraction),
+                        st.fractions(-3, 3, max_denominator=4))
+_fm_systems = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.tuples(*[_fm_entries] * n), _fm_entries), min_size=1, max_size=6),
+    st.just(n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_fm_systems)
+@example(([((Fraction(1),), Fraction(1)), ((Fraction(-1),), Fraction(1))], 1))  # infeasible
+@example(([((Fraction(1), Fraction(0)), Fraction(1)),
+           ((Fraction(-1), Fraction(-1)), Fraction(1))], 2))  # feasible
+def test_solve_inequalities_matches_the_two_pass_reference(system):
+    constraints, nvars = system
+    got = solve_inequalities(constraints, nvars)
+    assert repr(got) == repr(_reference_solve_inequalities(constraints, nvars))
+    if got is not None:
+        assert all(dot(coeffs, got) >= b for coeffs, b in constraints)
 
 
 def test_solve_linear():
