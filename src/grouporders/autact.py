@@ -126,9 +126,11 @@ def ordering_witness(phi, cap: int = 5) -> OrderingWitness:
     the first moved ball word from its image.  DepthCapExceeded is a
     declared outcome (the divergence may sit below the cap), not a bug.
     """
-    endo = verify_automorphism(phi).forward
+    endo = _as_endomorphism(phi)
     if endo.is_identity():
         raise IdentityAutomorphism("the identity fixes every ordering")
+    levels = identity_levels(endo.rank, cap)  # refuses oversized flags before the fold
+    verify_automorphism(phi)
     rank = endo.rank
     a1 = induced_matrix(endo, 1)
     if a1 != identity_matrix(rank):
@@ -136,8 +138,7 @@ def ordering_witness(phi, cap: int = 5) -> OrderingWitness:
         w = Word(rank, ())
         for i, e in enumerate(v, start=1):
             w = w * generator(rank, i, e)
-        levels = (flag,) + identity_levels(rank, cap)[1:]
-        ordering = StandardOrdering(rank, cap, levels)
+        ordering = StandardOrdering(rank, cap, (flag,) + levels[1:])
         return OrderingWitness(ordering, w, std_sign(ordering, w),
                                std_sign(ordering, endo.apply(w)), endo)
     failure: Exception | None = None

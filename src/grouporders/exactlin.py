@@ -28,10 +28,13 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import DimensionMismatch, EmptyInput, NoSeparator, ParseError, ZeroVectorInput
+from .errors import (DimensionMismatch, EmptyInput, InputError, NoSeparator, ParseError,
+                     ZeroVectorInput)
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
+
+MAX_CONE_SUBSETS = 10_000  # classify_cone and strict_separator refuse larger sets
 
 
 def vector(entries: Iterable) -> Vector:
@@ -191,6 +194,19 @@ def _validate_cone_input(vs: Sequence) -> tuple[Vector, ...]:
     return vs
 
 
+def _check_cone_size(vs: Sequence[Vector]) -> None:
+    """Refuse, before any work, a set with more than MAX_CONE_SUBSETS subsets
+    of size 2 to n + 1: the zero-combination scan lists them, and each
+    Fourier-Motzkin row past the inputs is keyed by one of them."""
+    m, n = len(vs), len(vs[0])
+    count = 0
+    for size in range(2, min(m, n + 1) + 1):
+        count += math.comb(m, size)
+        if count > MAX_CONE_SUBSETS:
+            raise InputError(f"{m} vectors in dimension {n} have more than "
+                             f"{MAX_CONE_SUBSETS} subsets of size 2 to {min(m, n + 1)}")
+
+
 def _find_zero_combo(vs: Sequence[Vector]) -> ZeroCombo | None:
     """Search for a minimal positively-dependent subset (a circuit).
 
@@ -229,33 +245,37 @@ def solve_inequalities(constraints: list[tuple[Vector, Fraction]], nvars: int) -
     """A point satisfying every ``coeffs . x >= b``, or None.
 
     Fourier-Motzkin: variables are eliminated from the last index down, each
-    distinct derived constraint kept once, then assigned back in ascending
+    row keyed by its support (the inputs it combines); a combination whose
+    support is held already or joins more than ``eliminated + 1`` inputs is
+    implied by the rows kept (Chernikov 1965), so it is skipped and every
+    projection stays the same.  Variables are then assigned back in ascending
     order from the bounds recorded at elimination, taking the max lower bound
-    (else min upper bound, else zero).  The procedure is deterministic and
-    seed-free.
+    (else min upper bound, else zero): deterministic and seed-free.
     """
-    system = list(constraints)
+    system = {1 << i: row for i, row in enumerate(constraints)}
     bounds = []  # (lowers, uppers) of each variable, last index first
     for var in range(nvars - 1, -1, -1):
-        lowers, uppers, rest = [], [], []
-        for coeffs, b in system:
+        lowers, uppers, rest = {}, {}, {}
+        for support, (coeffs, b) in system.items():
             c = coeffs[var]
-            (lowers if c > 0 else uppers if c < 0 else rest).append((coeffs, b))
-        for lc, lb in lowers:
-            for uc, ub in uppers:
+            (lowers if c > 0 else uppers if c < 0 else rest)[support] = (coeffs, b)
+        for low, (lc, lb) in lowers.items():
+            for up, (uc, ub) in uppers.items():
+                if (support := low | up) in rest or support.bit_count() > nvars - var + 1:
+                    continue
                 # combine x >= (lb - lrest)/lc with x <= (ub - urest)/uc
                 scale_l, scale_u = -uc[var], lc[var]
                 coeffs = tuple(scale_l * a + scale_u * b for a, b in zip(lc, uc))
-                rest.append((coeffs[:var] + (Fraction(0),) + coeffs[var + 1:],
-                             scale_l * lb + scale_u * ub))
-        system = list(dict.fromkeys(rest))
+                rest[support] = (coeffs[:var] + (Fraction(0),) + coeffs[var + 1:],
+                                 scale_l * lb + scale_u * ub)
+        system = rest
         bounds.append((lowers, uppers))
-    if any(b > 0 for _, b in system):
+    if any(b > 0 for _, b in system.values()):
         return None
     values: list[Fraction] = []
     for var, (lowers, uppers) in enumerate(reversed(bounds)):
         found = [(b - sum(map(mul, coeffs, values))) / coeffs[var]
-                 for coeffs, b in lowers or uppers]
+                 for coeffs, b in (lowers or uppers).values()]
         values.append(max(found) if lowers else min(found) if uppers else Fraction(0))
     return tuple(values)
 
@@ -267,6 +287,7 @@ def classify_cone(vs: Sequence) -> ConeCertificate:
     strict ``Halfspace``.  One of the two always exists.
     """
     vs = _validate_cone_input(vs)
+    _check_cone_size(vs)
     combo = _find_zero_combo(vs)
     if combo is not None:
         return combo
@@ -293,11 +314,11 @@ def strict_separator(pos: Sequence, neg: Sequence) -> Vector:
     n = len(pos[0])
     if len(neg[0]) != n:
         raise DimensionMismatch("pos and neg must share a dimension")
-    constraints = [(p, Fraction(1)) for p in pos]
-    constraints += [(tuple(-x for x in q), Fraction(1)) for q in neg]
-    f = solve_inequalities(constraints, n)
+    vs = pos + tuple(tuple(-x for x in q) for q in neg)
+    _check_cone_size(vs)
+    f = solve_inequalities([(v, Fraction(1)) for v in vs], n)
     if f is None:
         raise NoSeparator(f"no functional strictly separates {pos} from {neg}")
-    if any(dot(f, p) <= 0 for p in pos) or any(dot(f, q) >= 0 for q in neg):
+    if not Halfspace(f).strict_for(vs):
         raise AssertionError(f"functional {f} does not strictly separate {pos} from {neg}")
     return f

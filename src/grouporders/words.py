@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
-from .errors import EmptyWord, NonAutomorphism, ParseError, RankMismatch
+from .errors import EmptyWord, InputError, NonAutomorphism, ParseError, RankMismatch
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -270,7 +270,8 @@ def parse_endomorphism(text: str, rank: int | None = None) -> Endomorphism:
     """Parse clauses like ``x1 -> x1 x2 ; x2 -> x2``.
 
     Unlisted generators are fixed; the rank defaults to the largest index
-    mentioned anywhere.
+    mentioned anywhere.  A rank above MAX_SERIES_TERMS is refused before any
+    image is built.
     """
     clauses = [c.strip() for c in text.split(";") if c.strip()]
     if not clauses:
@@ -295,6 +296,9 @@ def parse_endomorphism(text: str, rank: int | None = None) -> Endomorphism:
                 max_index = max(max_index, int(tm.group(1)))
     if rank is None:
         rank = max_index
+    if rank > MAX_SERIES_TERMS:
+        raise InputError(f"rank {rank} is above {MAX_SERIES_TERMS}; a map holds one image "
+                         "per generator")
     for index in mapping:
         if not 1 <= index <= rank:
             raise ParseError(f"left side x{index} lies outside rank {rank}")

@@ -431,6 +431,47 @@ def test_depth_one_at_a_huge_rank_reads_the_exponent_sums(capsys):
     assert time.perf_counter() - start < 2  # no rank-sized list of exponent sums
 
 
+FM_VECTORS = ("0 -36 0 15 36 36; -4 -36 -24 -36 -36 12; -24 24 0 36 -24 -8; "
+              "15 15 -12 0 -4 -36; -4 -8 15 -8 24 24; 6 12 24 -36 6 -36")
+FM_ROWS = ("-128135/376016 259801/5640240 -23483/94004 -155137/1410060 395491/1880080 "
+           "-170479/1880080; 1 0 0 0 0 0; 0 1 0 0 0 0; 0 0 1 0 0 0; 0 0 0 1 0 0; "
+           "0 0 0 0 1 0\n")
+
+
+def test_realize_where_full_elimination_blows_up_answers_fast(capsys):
+    start = time.perf_counter()
+    assert run(capsys, "zn", "realize", "--vectors", FM_VECTORS)[:2] == (0, FM_ROWS)
+    assert time.perf_counter() - start < 5  # full Fourier-Motzkin took 33-54 s
+
+
+POINTED_16_IN_Z8 = (
+    "1 -2 -1 0 -2 -2 2 -3; 1 -3 -2 -2 3 1 -2 0; 1 2 -3 0 0 0 0 0; 1 1 -2 3 0 -3 0 -2; "
+    "1 3 -3 2 -1 1 0 0; 1 0 2 -3 2 -1 -3 3; 1 -3 0 1 3 0 -3 2; 1 -3 -1 -2 2 -3 0 2; "
+    "1 1 -2 1 3 -2 1 -3; 1 1 -3 0 2 -2 -2 3; 1 1 0 2 1 0 -1 1; 1 -1 3 0 -2 -2 3 1; "
+    "1 -3 1 2 -1 2 -1 2; 1 3 0 1 1 -2 -1 -2; 1 -1 1 -1 1 2 -3 3; 1 3 1 2 1 -2 -1 -2")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("zn", "realize", "--vectors", POINTED_16_IN_Z8),
+     "16 vectors in dimension 8 have more than 10000 subsets"),
+    (("aut", "witness", "x1 -> x1 x2", "--rank", "1000000", "--cap", "1"),
+     "rank 1000000 is above 100000"),
+    (("aut", "witness", "x1 -> x1 x2", "--rank", "10000000", "--cap", "1"),
+     "rank 10000000 is above 100000"),
+    (("aut", "pull", "x1 -> x1 x2", "x1", "--rank", "10000000", "--cap", "1"),
+     "rank 10000000 is above 100000"),
+    (("aut", "boundary", "x1 -> x1 x2", "--rank", "10000000"),
+     "rank 10000000 is above 100000"),
+    (("aut", "witness", "x1 -> x1 x2", "--rank", "2000", "--cap", "1"),
+     "flags on levels 1..1 of rank 2000 hold more than"),
+])
+def test_oversized_cones_and_maps_exit_1_fast(capsys, argv, message):
+    start = time.perf_counter()
+    code, _, err = run(capsys, *argv)
+    _one_line_error(code, err, "InputError")
+    assert message in err and time.perf_counter() - start < 1
+
+
 def _level_json(**level):
     return json.dumps({"rank": 2, "class": 1,
                        "levels": [dict(level, rows=[["1", "0"], ["0", "1"]])]})

@@ -6,10 +6,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from grouporders.errors import EmptyInput, NoSeparator, ZeroVectorInput
-from grouporders.exactlin import (Halfspace, ZeroCombo, classify_cone, clear_denominators,
-                                  dot, kernel_basis, matrix, rank, scale_to_integers,
-                                  solve_inequalities, solve_linear, strict_separator, vector)
+from grouporders.errors import EmptyInput, InputError, NoSeparator, ZeroVectorInput
+from grouporders.exactlin import (MAX_CONE_SUBSETS, Halfspace, ZeroCombo, classify_cone,
+                                  clear_denominators, dot, kernel_basis, matrix, rank,
+                                  scale_to_integers, solve_inequalities, solve_linear,
+                                  strict_separator, vector)
 
 
 def test_kernel_of_identity_is_empty():
@@ -191,6 +192,54 @@ def test_solve_inequalities_matches_the_two_pass_reference(system):
     assert repr(got) == repr(_reference_solve_inequalities(constraints, nvars))
     if got is not None:
         assert all(dot(coeffs, got) >= b for coeffs, b in constraints)
+
+
+# 7-12 vectors in Z^4..Z^6: Fourier-Motzkin without Chernikov's rule can take minutes
+_cone_entries = st.integers(-36, 36).map(Fraction)
+_cone_systems = st.integers(4, 6).flatmap(lambda n: st.tuples(
+    st.tuples(*[_cone_entries] * n).filter(any),
+    st.lists(st.tuples(*[_cone_entries] * n), min_size=6, max_size=11)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cone_systems)
+def test_pointed_cone_systems_get_a_strict_point(system):
+    h, drawn = system
+    vs = [h]  # each v turned into the open half-space h . v > 0
+    for v in drawn:
+        side = dot(h, v)
+        vs.append(v if side > 0 else tuple(-x for x in v) if side < 0
+                  else tuple(a + b for a, b in zip(v, h)))
+    f = solve_inequalities([(v, Fraction(1)) for v in vs], len(h))
+    assert f is not None and all(dot(v, f) >= 1 for v in vs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_cone_systems, st.integers(0, 10))
+def test_cone_systems_holding_v_and_minus_v_are_infeasible(system, index):
+    h, drawn = system
+    vs = [h, *drawn]
+    v = vs[index % len(vs)]
+    vs.append(tuple(-x for x in v))
+    assert solve_inequalities([(v, Fraction(1)) for v in vs], len(h)) is None
+
+
+def _pointed(m, n):
+    """m distinct vectors in Z^n with first coordinate 1."""
+    return [(1, *(((i >> j) & 1) * (j + 1) - i % 3 for j in range(n - 1))) for i in range(m)]
+
+
+def test_cone_sets_with_too_many_subsets_are_refused():
+    vs = _pointed(16, 8)
+    with pytest.raises(InputError, match="more than 10000 subsets of size 2 to 9"):
+        classify_cone(vs)
+    with pytest.raises(InputError, match="16 vectors in dimension 8"):
+        strict_separator(vs[:8], [tuple(-x for x in q) for q in vs[8:]])
+    # 14 vectors in Z^6 have 9893 subsets of size 2 to 7: accepted
+    assert sum(math.comb(14, s) for s in range(2, 8)) <= MAX_CONE_SUBSETS
+    vs = _pointed(14, 6)
+    f = strict_separator(vs[:7], [tuple(-x for x in q) for q in vs[7:]])
+    assert Halfspace(f).strict_for([vector(v) for v in vs])
 
 
 def test_solve_linear():
