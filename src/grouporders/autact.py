@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (DepthCapExceeded, IdentityAutomorphism, NonAutomorphism,
-                     NotFoundWithinBall)
+from .errors import (CertificateError, DepthCapExceeded, IdentityAutomorphism,
+                     NonAutomorphism, NotFoundWithinBall)
 from .hall import identity_matrix, induced_matrix
 from .stdord import (Ordering, StandardOrdering, identity_levels, separate,
                      std_sign)
@@ -102,7 +102,7 @@ class OrderingWitness:
         before = std_sign(self.ordering, self.word)
         after = std_sign(self.ordering, self.mapping.apply(self.word))
         if (self.sign_before, self.sign_after) != (before, after) or before == after:
-            raise AssertionError(f"signs of {self.word} under {self.mapping} do not check")
+            raise CertificateError(f"signs of {self.word} under {self.mapping} do not check")
 
     def to_json(self) -> dict:
         return {

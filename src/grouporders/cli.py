@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage or input error, 2 certified negative result
-(CommonRoot, NoCone, NoSeparator, NotFoundWithinBall), 3 class cap exceeded.
+(CommonRoot, NoCone, NoSeparator, NotFoundWithinBall), 3 class cap exceeded,
+4 a certificate the library built failed its own re-check (CertificateError).
 Diagnostics go to stderr; results to stdout, as JSON with ``--json``.
 """
 
@@ -15,7 +16,7 @@ from functools import lru_cache
 from . import report as report_module
 from .autact import (boundary_separation, common_power, ordering_witness,
                      primitive_root, pulled_sign)
-from .errors import (CapExceeded, GroupOrderError, InputError, NegativeCertificate,
+from .errors import (CapExceeded, CertificateError, GroupOrderError, NegativeCertificate,
                      ParseError)
 from .exactlin import matrix
 from .hall import leading_coords
@@ -28,6 +29,9 @@ from .words import parse_endomorphism, parse_word
 from .znord import (FlagOrdering, IntegerAutomorphism, act, flag_sign, gl_witness,
                     realize_flag)
 
+# the first family an error belongs to gives the exit code
+EXIT_CODES = {NegativeCertificate: 2, CapExceeded: 3, CertificateError: 4,
+              GroupOrderError: 1, ValueError: 1, OSError: 1}
 SIGN_WORDS = {1: "Positive", -1: "Negative", 0: "Zero"}
 COMPARE_WORDS = {-1: "Less", 0: "Equal", 1: "Greater"}
 
@@ -332,15 +336,9 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.run(args)
-    except NegativeCertificate as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except CapExceeded as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except (InputError, GroupOrderError, ValueError, OSError) as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 def entrypoint() -> None:

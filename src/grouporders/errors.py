@@ -1,8 +1,8 @@
 """Exception hierarchy shared by all modules.
 
-Three families matter to callers (and to the CLI exit codes): bad input,
-a certified negative answer, and a class/depth cap that was too small to
-decide the question.
+Four families matter to callers, with their CLI exit codes: bad input (1), a
+certified negative answer (2), a class/depth cap too small to decide the question
+(3), and a certificate the library built failing its own re-check (4, a library fault).
 """
 
 
@@ -96,3 +96,7 @@ class DepthExceedsCap(CapExceeded):
 
 class DepthCapExceeded(CapExceeded):
     pass
+
+
+class CertificateError(GroupOrderError):
+    """A certificate the library built failed its own re-check."""

@@ -28,8 +28,8 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterable, Sequence
 
-from .errors import (DimensionMismatch, EmptyInput, InputError, NoSeparator, ParseError,
-                     ZeroVectorInput)
+from .errors import (CertificateError, DimensionMismatch, EmptyInput, InputError,
+                     NoSeparator, ParseError, ZeroVectorInput)
 
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
@@ -236,7 +236,7 @@ def _find_zero_combo(vs: Sequence[Vector]) -> ZeroCombo | None:
                     coeffs[idx] = c
                 combo = ZeroCombo(tuple(coeffs))
                 if not combo.holds_for(vs):
-                    raise AssertionError(f"{combo} does not vanish on {vs}")
+                    raise CertificateError(f"{combo} does not vanish on {vs}")
                 return combo
     return None
 
@@ -295,10 +295,10 @@ def classify_cone(vs: Sequence) -> ConeCertificate:
     constraints = [(v, Fraction(1)) for v in vs]
     f = solve_inequalities(constraints, n)
     if f is None:
-        raise AssertionError("no zero combination and no strict functional")
+        raise CertificateError("no zero combination and no strict functional")
     cert = Halfspace(f)
     if not cert.strict_for(vs):
-        raise AssertionError(f"{cert} is not strictly positive on {vs}")
+        raise CertificateError(f"{cert} is not strictly positive on {vs}")
     return cert
 
 
@@ -320,5 +320,5 @@ def strict_separator(pos: Sequence, neg: Sequence) -> Vector:
     if f is None:
         raise NoSeparator(f"no functional strictly separates {pos} from {neg}")
     if not Halfspace(f).strict_for(vs):
-        raise AssertionError(f"functional {f} does not strictly separate {pos} from {neg}")
+        raise CertificateError(f"functional {f} does not strictly separate {pos} from {neg}")
     return f

@@ -19,7 +19,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product
 
-from .errors import DepthExceedsCap, InputError
+from .errors import CertificateError, DepthExceedsCap, InputError
 from .series import Monomial, concat, leading_part
 from .words import MAX_SERIES_TERMS, Endomorphism, Word, commutator, generator
 
@@ -111,7 +111,7 @@ def _triangle(rank: int, weight: int) -> tuple[tuple[tuple[int, int], ...], ...]
     for i, b in enumerate(basis_layer(rank, weight)):
         row = sorted((index[m], c) for m, c in bracket_expansion(b).items() if m in index)
         if row[:1] != [(i, 1)]:
-            raise AssertionError(f"bracket {b} is not word {i} plus later Lyndon words")
+            raise CertificateError(f"bracket {b} is not word {i} plus later Lyndon words")
         rows.append(tuple(row[1:]))
     return tuple(rows)
 

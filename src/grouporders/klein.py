@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import IdentityElement, InputError, NonAutomorphism, ParseError
+from .errors import CertificateError, IdentityElement, InputError, NonAutomorphism, ParseError
 
 
 @dataclass(frozen=True)
@@ -130,7 +130,7 @@ def _cone_axioms_hold(ordering: KleinOrdering, radius: int) -> bool:
 def _verify_cone(ordering: KleinOrdering) -> None:
     """The radius-3 cone-axiom check, once per (eps, delta) per process."""
     if not _cone_axioms_hold(ordering, 3):
-        raise AssertionError(f"cone {ordering} fails the axioms on the radius-3 ball")
+        raise CertificateError(f"cone {ordering} fails the axioms on the radius-3 ball")
 
 
 def k_sign(ordering: KleinOrdering, p: KleinElement) -> int:
@@ -166,7 +166,7 @@ class KleinAut:
         delta = self.image_y.b
         inv = KleinAut(KleinElement(self.image_x.a, -delta * self.image_x.b), self.image_y)
         if not (self.compose(inv).is_identity() and inv.compose(self).is_identity()):
-            raise AssertionError(f"constructed inverse of {self} does not invert it")
+            raise CertificateError(f"constructed inverse of {self} does not invert it")
         return inv
 
     def compose(self, other: "KleinAut") -> "KleinAut":
@@ -233,7 +233,7 @@ def k_pull(phi: KleinAut, ordering: KleinOrdering) -> KleinOrdering:
 def _verify_pull(phi: KleinAut, ordering: KleinOrdering, pulled: KleinOrdering) -> None:
     """The radius-3 check of a pull; ``pulled`` is fixed by (phi, ordering)."""
     if any(pulled.sign(p) != ordering.sign(phi.apply(p)) for p in _ball(3)):
-        raise AssertionError(f"pulling {ordering} through {phi} does not give {pulled}")
+        raise CertificateError(f"pulling {ordering} through {phi} does not give {pulled}")
 
 
 def is_inner(phi: KleinAut) -> KleinElement | None:
@@ -250,7 +250,7 @@ def is_inner(phi: KleinAut) -> KleinElement | None:
         return None
     c = KleinElement(0 if d == 1 else 1, -d * m // 2)
     if inner_by(c) != phi:
-        raise AssertionError(f"conjugation by {c} does not give {phi}")
+        raise CertificateError(f"conjugation by {c} does not give {phi}")
     return c
 
 
@@ -296,7 +296,7 @@ def k_out_table() -> OutTable:
     for m in names:
         for n in names:
             if m != n and is_inner(reps[m].compose(reps[n].inverse())) is not None:
-                raise AssertionError(f"representatives {m} and {n} share an outer class")
+                raise CertificateError(f"representatives {m} and {n} share an outer class")
     multiplication = {}
     for m in names:
         for n in names:
@@ -304,7 +304,7 @@ def k_out_table() -> OutTable:
             matches = [c for c in names
                        if is_inner(prod.compose(reps[c].inverse())) is not None]
             if len(matches) != 1:
-                raise AssertionError(f"{m} * {n} lies in the outer classes {matches}")
+                raise CertificateError(f"{m} * {n} lies in the outer classes {matches}")
             multiplication[(m, n)] = matches[0]
     actions = {}
     for name in names:
@@ -316,7 +316,7 @@ def k_out_table() -> OutTable:
     kernel = tuple(n for n in names if actions[n] == tuple(range(4)))
     conj_y = inner_by(KleinElement(0, 1))
     if conj_y.is_identity() or any(k_pull(conj_y, o) != o for o in orderings):
-        raise AssertionError("conjugation by y must be nontrivial and fix every cone")
+        raise CertificateError("conjugation by y must be nontrivial and fix every cone")
     # conjugation orbits of the cones: each cone and its pulls by x and y,
     # closed to a fixed point; disjoint, so sorted by smallest index
     step = [{idx} | {orderings.index(k_pull(inner_by(c), ordering))

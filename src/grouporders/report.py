@@ -16,7 +16,8 @@ from typing import Callable
 
 from . import catalog
 from .autact import boundary_separation, common_power, ordering_witness, primitive_root
-from .errors import CommonRoot, DepthCapExceeded, IdentityAutomorphism, InputError, NoCone
+from .errors import (CommonRoot, DepthCapExceeded, DimensionMismatch, IdentityAutomorphism,
+                     InputError, NoCone)
 from .exactlin import Halfspace, ZeroCombo, classify_cone, vector
 from .hall import identity_matrix, induced_matrix, layer_rank, lyndon_words
 from .klein import (KleinElement, alpha1, inner_by, is_inner, k_enumerate_orderings,
@@ -61,7 +62,7 @@ def _random_gl(rng: random.Random, n: int) -> IntegerAutomorphism:
         entries = tuple(tuple(rng.randint(-3, 3) for _ in range(n)) for _ in range(n))
         try:
             a = IntegerAutomorphism(entries)
-        except Exception:
+        except DimensionMismatch:  # a draw of determinant other than +-1
             continue
         if not a.is_identity():
             return a
@@ -299,7 +300,7 @@ def random_standard_ordering(rank: int, cap: int, rng: random.Random) -> Standar
             try:
                 levels.append(FlagOrdering(rows))
                 break
-            except Exception:
+            except DimensionMismatch:  # a singular draw
                 continue
     return StandardOrdering(rank, cap, tuple(levels))
 

@@ -39,8 +39,8 @@ from functools import lru_cache
 from typing import Sequence
 
 from . import exactlin, hall
-from .errors import (CommonRoot, DepthCapExceeded, DepthExceedsCap, DimensionMismatch,
-                     EmptyWord, InputError, ParseError)
+from .errors import (CertificateError, CommonRoot, DepthCapExceeded, DepthExceedsCap,
+                     DimensionMismatch, EmptyWord, InputError, ParseError)
 from .exactlin import strict_separator
 from .hall import decompose_lie, layer_rank, leading_coords, monomials
 from .series import Monomial, concat, leading_part, magnus_part
@@ -109,7 +109,7 @@ class StandardOrdering:
         depth, coords = leading_coords(w, self.cap)
         value = flag_sign(self.levels[depth - 1], coords)
         if value == 0:
-            raise AssertionError(f"flag gave sign 0 to the nonzero coordinates {coords}")
+            raise CertificateError(f"flag gave sign 0 to the nonzero coordinates {coords}")
         return value
 
     def opposite(self) -> "StandardOrdering":
@@ -519,7 +519,7 @@ def separate(g: Word, k: Word, cap: int = 5) -> Ordering:
             big_k = k ** b
             w = big_g * big_k.inverse()
             if w.is_identity():
-                raise AssertionError(f"g^{a} = k^{b} with no common power found")
+                raise CertificateError(f"g^{a} = k^{b} with no common power found")
             lead = leading_part(w, cap)
             if lead is None:
                 raise DepthCapExceeded(
@@ -533,5 +533,5 @@ def separate(g: Word, k: Word, cap: int = 5) -> Ordering:
                 mu_j_pivot=magnus_part(big_g, j),
                 sigma=Fraction(a * e))
     if ordering.sign(g) != 1 or ordering.sign(k) != -1:
-        raise AssertionError(f"{type(ordering).__name__} fails to separate {g} from {k}")
+        raise CertificateError(f"{type(ordering).__name__} fails to separate {g} from {k}")
     return ordering

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator
 
-from .errors import EmptyWord, InputError, NonAutomorphism, ParseError, RankMismatch
+from .errors import (CertificateError, EmptyWord, InputError, NonAutomorphism, ParseError,
+                     RankMismatch)
 
 
 def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
@@ -121,7 +122,7 @@ class RootDecomposition:
 
     def __post_init__(self):
         if self.exponent < 1 or self.root.is_identity():
-            raise AssertionError(f"({self.root})^{self.exponent} is no root decomposition")
+            raise CertificateError(f"({self.root})^{self.exponent} is no root decomposition")
 
 
 def primitive_root(w: Word) -> RootDecomposition:
@@ -130,17 +131,15 @@ def primitive_root(w: Word) -> RootDecomposition:
         raise EmptyWord("the identity has no primitive root")
     core, conj = w.cyclic_reduce()
     n = len(core)
-    for p in range(1, n + 1):
-        if n % p:
-            continue
-        if core.letters == core.letters[:p] * (n // p):
-            # core[:p] starts and ends as core does, so the root is reduced
-            root = _trusted(w.rank, conj.letters + core.letters[:p] + conj.inverse().letters)
-            m = n // p
-            if root ** m != w:
-                raise AssertionError(f"({root})^{m} is not {w}")
-            return RootDecomposition(root, m)
-    raise AssertionError("unreachable: every word is a power of itself")
+    # the least period of the core; p = n is one, so the search always ends
+    p = next(p for p in range(1, n + 1)
+             if n % p == 0 and core.letters == core.letters[:p] * (n // p))
+    # core[:p] starts and ends as core does, so the root is reduced
+    root = _trusted(w.rank, conj.letters + core.letters[:p] + conj.inverse().letters)
+    m = n // p
+    if root ** m != w:
+        raise CertificateError(f"({root})^{m} is not {w}")
+    return RootDecomposition(root, m)
 
 
 def common_root(g: Word, k: Word) -> tuple[Word, tuple[int, int]] | None:
@@ -155,7 +154,7 @@ def common_root(g: Word, k: Word) -> tuple[Word, tuple[int, int]] | None:
     m = rg.exponent * rk.exponent // gcd(rg.exponent, rk.exponent)
     a, b = m // rg.exponent, m // rk.exponent
     if g ** a != k ** b:
-        raise AssertionError(f"({g})^{a} is not ({k})^{b}")
+        raise CertificateError(f"({g})^{a} is not ({k})^{b}")
     return rg.root, (a, b)
 
 

@@ -16,8 +16,10 @@ from itertools import product
 from operator import mul
 
 from . import exactlin
-from .errors import DimensionMismatch, InputError, IsIdentity, NoCone
+from .errors import CertificateError, DimensionMismatch, InputError, IsIdentity, NoCone
 from .exactlin import Matrix, classify_cone, clear_denominators, matrix, vector
+
+MAX_WITNESS_VECTORS = 2 * (5 ** 5 - 1)  # gl_witness's two scans in all; enough for n <= 5
 
 
 @dataclass(frozen=True)
@@ -205,7 +207,7 @@ def realize_flag(positives) -> FlagOrdering:
         raise NoCone("inputs admit a vanishing nonnegative combination", cert)
     flag = complete_flag(cert.functional)
     if any(flag_sign(flag, v) != 1 for v in positives):
-        raise AssertionError(f"flag {flag} does not make every input positive")
+        raise CertificateError(f"flag {flag} does not make every input positive")
     return flag
 
 
@@ -219,20 +221,25 @@ def gl_witness(a: IntegerAutomorphism) -> tuple[FlagOrdering, tuple[int, ...]]:
     if a.is_identity():
         raise IsIdentity("the identity matrix preserves every ordering")
     n = a.dimension
-    identity = FlagOrdering.identity(n)
-    for v in _ball_vectors(n, 2):
-        if flag_sign(identity, v) != flag_sign(identity, a.apply(v)):
-            return identity, v
-    for v in _ball_vectors(n, 2):
+    budget = iter(range(MAX_WITNESS_VECTORS))  # shared by both scans
+    # a lower unitriangular A keeps the first nonzero coordinate of every v
+    if not all(a.entries[i][j] == (i == j) for i in range(n) for j in range(i, n)):
+        identity = FlagOrdering.identity(n)
+        moved = FlagOrdering(a.entries)  # signs v as the identity flag signs A.v
+        for v, _ in zip(_ball_vectors(n, 2), budget):
+            if flag_sign(identity, v) != flag_sign(moved, v):
+                return identity, v
+    for v, _ in zip(_ball_vectors(n, 2), budget):
         image = a.apply(v)
         # skip v with A.v a positive multiple of v: no cone separates those
         if positive_ratio(v, image) is not None:
             continue
         flag = realize_flag([v, tuple(-x for x in image)])
         if flag_sign(flag, v) != 1 or flag_sign(flag, image) != -1:
-            raise AssertionError(f"flag {flag} does not separate {v} from its image {image}")
+            raise CertificateError(f"flag {flag} does not separate {v} from its image {image}")
         return flag, v
-    raise AssertionError("unreachable: every non-identity matrix has a radius-1 witness")
+    # a non-identity A moves some radius-1 vector, so only the budget ends the second scan
+    raise InputError(f"a witness in dimension {n} may need over {MAX_WITNESS_VECTORS} vectors")
 
 
 def positive_ratio(u, v) -> Fraction | None:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from grouporders import znord
 from grouporders.cli import main
 from grouporders.stdord import identity_ordering, separate
 from grouporders.words import parse_word
@@ -470,6 +471,30 @@ def test_oversized_cones_and_maps_exit_1_fast(capsys, argv, message):
     code, _, err = run(capsys, *argv)
     _one_line_error(code, err, "InputError")
     assert message in err and time.perf_counter() - start < 1
+
+
+def test_lower_unitriangular_map_at_rank_60_answers_fast(capsys):
+    # x1 -> x1 x2 never moves a lexicographic sign, so that scan is skipped
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "aut", "witness", "x1 -> x1 x2", "--rank", "60", "--cap", "1")
+    assert code == 0 and out.startswith("word x1^-1 x2^-1 x3^-1")
+    assert time.perf_counter() - start < 1
+
+
+def test_witness_scan_beyond_its_budget_exits_1_fast(capsys):
+    # the first lexicographic witness of x2 -> x2 x1 comes after 3^58 vectors
+    start = time.perf_counter()
+    code, _, err = run(capsys, "aut", "witness", "x2 -> x2 x1", "--rank", "60", "--cap", "1")
+    _one_line_error(code, err, "InputError")
+    assert "dimension 60 may need over 6248 vectors" in err
+    assert time.perf_counter() - start < 1
+
+
+def test_failed_certificate_exits_4_with_one_line(capsys, monkeypatch):
+    monkeypatch.setattr(znord, "flag_sign", lambda flag, v: -1)
+    code, _, err = run(capsys, "zn", "realize", "--vectors", "1 0")
+    assert code == 4 and "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("CertificateError: ")
 
 
 def _level_json(**level):

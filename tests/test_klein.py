@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grouporders import klein
-from grouporders.errors import IdentityElement, NonAutomorphism, ParseError
+from grouporders.errors import CertificateError, IdentityElement, NonAutomorphism, ParseError
 from grouporders.klein import (KleinAut, KleinElement, KleinOrdering, abelianized,
                                alpha1, alpha2, alpha3, identity_aut, inner_by,
                                is_inner, k_enumerate_orderings, k_mul, k_out_table,
@@ -235,7 +235,7 @@ def test_each_cone_is_checked_once(monkeypatch):
         assert sorted(checked) == [(-1, -1, 3), (-1, 1, 3), (1, -1, 3), (1, 1, 3)]
         klein._verify_cone.cache_clear()
         monkeypatch.setattr(klein, "_cone_axioms_hold", lambda ordering, radius: False)
-        with pytest.raises(AssertionError):
+        with pytest.raises(CertificateError):
             KleinOrdering(1, 1)
     finally:
         klein._verify_cone.cache_clear()
@@ -251,7 +251,7 @@ def test_each_pull_is_checked_once():
         # conjugation by x and by y again, each on the 4 cones; 24 are distinct
         info = klein._verify_pull.cache_info()
         assert (info.misses, info.hits) == (24, 3 * 28 - 24)
-        with pytest.raises(AssertionError):
+        with pytest.raises(CertificateError):
             klein._verify_pull(alpha1(), KleinOrdering(1, 1), KleinOrdering(1, -1))
     finally:
         klein._verify_pull.cache_clear()

@@ -15,7 +15,7 @@ import grouporders
 CODE = textwrap.dedent("""
     from fractions import Fraction
     from grouporders import exactlin, hall, klein, znord
-    from grouporders.errors import DimensionMismatch
+    from grouporders.errors import CertificateError, DimensionMismatch
     from grouporders.series import magnus
     from grouporders.words import parse_word
     from grouporders.znord import FlagOrdering, IntegerAutomorphism
@@ -23,7 +23,7 @@ CODE = textwrap.dedent("""
     if __debug__:
         raise SystemExit("not running under -O")
 
-    def check(message, call, patches=(), exc=AssertionError):
+    def check(message, call, patches=(), exc=CertificateError):
         saved = [(owner, attr, getattr(owner, attr)) for owner, attr, _ in patches]
         for owner, attr, value in patches:
             setattr(owner, attr, value)

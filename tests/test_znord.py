@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from grouporders import exactlin
 from grouporders.errors import DimensionMismatch, IsIdentity, NoCone
-from grouporders.znord import (FlagOrdering, IntegerAutomorphism, act, complete_flag,
-                               flag_sign, gl_witness, opposite, positive_ratio,
-                               realize_flag)
+from grouporders.znord import (FlagOrdering, IntegerAutomorphism, _ball_vectors, act,
+                               complete_flag, flag_sign, gl_witness, opposite,
+                               positive_ratio, realize_flag)
 
 I2 = FlagOrdering.identity(2)
 
@@ -117,6 +117,43 @@ def test_gl_witness_lower_unipotent_needs_constructed_flag():
     a = IntegerAutomorphism(((1, 0), (1, 1)))
     flag, v = gl_witness(a)
     assert flag_sign(flag, v) != flag_sign(flag, a.apply(v))
+
+
+def _full_scan_gl_witness(a):
+    """gl_witness scanning both loops in full: no lower unitriangular skip, no budget."""
+    identity = FlagOrdering.identity(a.dimension)
+    for v in _ball_vectors(a.dimension, 2):
+        if flag_sign(identity, v) != flag_sign(identity, a.apply(v)):
+            return identity, v
+    for v in _ball_vectors(a.dimension, 2):
+        image = a.apply(v)
+        if positive_ratio(v, image) is None:
+            return realize_flag([v, tuple(-x for x in image)]), v
+
+
+@st.composite
+def _triangular_matrices(draw):
+    """Lower triangular with diagonal +-1 (unitriangular half the time), or its transpose."""
+    n = draw(st.integers(2, 5))
+    unit = draw(st.booleans())
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = 1 if unit else draw(st.sampled_from((-1, 1)))
+        for j in range(i):
+            rows[i][j] = draw(st.integers(-2, 2))
+    if draw(st.booleans()):
+        rows = [list(col) for col in zip(*rows)]
+    return IntegerAutomorphism(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_triangular_matrices())
+def test_gl_witness_matches_the_full_scan_on_triangular_matrices(a):
+    # a lower unitriangular matrix skips the lexicographic scan, which cannot hit
+    assume(not a.is_identity())
+    flag, v = gl_witness(a)
+    full_flag, full_v = _full_scan_gl_witness(a)
+    assert (flag.rows, v) == (full_flag.rows, full_v)
 
 
 def test_realize_flag_examples():
