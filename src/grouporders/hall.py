@@ -20,8 +20,10 @@ from functools import lru_cache
 from itertools import product
 
 from .errors import CertificateError, DepthExceedsCap, InputError
-from .series import Monomial, concat, leading_part
+from .series import Monomial, concat, leading_part, linear_part
 from .words import MAX_SERIES_TERMS, Endomorphism, Word, commutator, generator
+
+MAX_LIE_TERMS = 10 ** 6  # held bracket images in induced_matrix, and its entries
 
 # A bracket is either a generator index or a pair of brackets.
 Bracket = int | tuple
@@ -122,7 +124,11 @@ def decompose_lie(rank: int, weight: int, part: dict[Monomial, int]) -> tuple[in
     Forward substitution: coordinate i is Lyndon word i's coefficient less
     what the brackets before i put there.
     """
-    coords = [part.get(w, 0) for w in lyndon_words(rank, weight)]
+    return _substitute(rank, weight, [part.get(w, 0) for w in lyndon_words(rank, weight)])
+
+
+def _substitute(rank: int, weight: int, coords: list[int]) -> tuple[int, ...]:
+    """Basis coordinates from the coefficients on the Lyndon words, in place."""
     for i, row in enumerate(_triangle(rank, weight)):
         c = coords[i]
         if c:
@@ -160,13 +166,73 @@ def induced_matrix(phi: Endomorphism, level: int) -> tuple[tuple[int, ...], ...]
 
     Columns are the coordinates of the images of the weight-``level`` basic
     commutators, so the matrix acts on coordinate columns from the left.
+
+    The lower-central quotients form the free Lie ring on H = F/gamma_2
+    (Magnus and Witt; Reutenauer, *Free Lie Algebras*), so the level-k map
+    is the k-th Lie power of the level-1 matrix and no image word is built.
+    A generator goes to the linear part of its image (its exponent sums;
+    zero when the image lies in gamma_2), and a bracket (b1, b2) to
+    P1 P2 - P2 P1 in the free associative ring.  The images of the lower
+    layers are built layer by layer and held for the call.  A top bracket's
+    image is read only at the Lyndon words of the top layer, each
+    coefficient two products of its factors' coefficients, and dropped
+    once its column is solved.
+
+    Refused with InputError before any work when the held images may hold
+    more than MAX_LIE_TERMS (10^6) terms, that is layer_rank(rank, k) *
+    rank^k summed over k < level, or the matrix has more than MAX_LIE_TERMS
+    entries.  That admits rank 2 up to level 12, rank 3 up to 8, rank 4 up
+    to 6, rank 5 up to 5 and, at level 1, rank up to 1000.
     """
-    layer = basis_layer(phi.rank, level)
+    rank = phi.rank
+    held = 0
+    for k in range(1, level):
+        held += layer_rank(rank, k) * rank ** k
+        if held > MAX_LIE_TERMS:
+            break
+    if held > MAX_LIE_TERMS or layer_rank(rank, level) ** 2 > MAX_LIE_TERMS:
+        raise InputError(f"the level-{level} map of rank {rank} needs more than "
+                         f"{MAX_LIE_TERMS} Lie terms")
+    # monomials coded as in series: base-(rank+1) numerals, so uv = u * base^|v| + v
+    base = rank + 1
+    # bracket -> (its image, its weight); a Lyndon bracket's factors are Lyndon brackets
+    images: dict[Bracket, tuple[dict[int, int], int]] = {
+        i: ({m[0]: c for m, c in linear_part(w).items()}, 1)
+        for i, w in enumerate(phi.images, start=1)}
+    for k in range(2, level):
+        for b in basis_layer(rank, k):
+            (p, i), (q, j) = images[b[0]], images[b[1]]
+            images[b] = _commutator(p, q, base ** i, base ** j), k
+    codes = [sum(x * base ** k for k, x in enumerate(reversed(w)))
+             for w in lyndon_words(rank, level)]
+    # j -> each top Lyndon word as (its first level - j letters, its last j)
+    splits = {j: [divmod(code, base ** j) for code in codes] for j in range(1, level)}
     columns = []
-    for b in layer:
-        image = phi.apply(bracket_word(phi.rank, b))
-        columns.append(coords_at_level(image, level))
-    return tuple(tuple(col[i] for col in columns) for i in range(len(layer)))
+    for b in basis_layer(rank, level):
+        if isinstance(b, int):
+            p = images[b][0]
+            coeffs = [p.get(code, 0) for code in codes]
+        else:
+            (p, i), (q, j) = images[b[0]], images[b[1]]
+            coeffs = [p.get(u, 0) * q.get(v, 0) - q.get(s, 0) * p.get(t, 0)
+                      for (u, v), (s, t) in zip(splits[j], splits[i])]
+        columns.append(_substitute(rank, level, coeffs))
+    return tuple(zip(*columns))
+
+
+def _commutator(p: dict[int, int], q: dict[int, int],
+                p_shift: int, q_shift: int) -> dict[int, int]:
+    """PQ - QP on coded monomials, each shift being base^(the factor's degree)."""
+    out: dict[int, int] = {}
+    for m1, c1 in p.items():
+        m1 *= q_shift
+        for m2, c2 in q.items():
+            out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
+    for m2, c2 in q.items():
+        m2 *= p_shift
+        for m1, c1 in p.items():
+            out[m2 + m1] = out.get(m2 + m1, 0) - c1 * c2
+    return {m: c for m, c in out.items() if c}
 
 
 def identity_matrix(n: int) -> tuple[tuple[int, ...], ...]:

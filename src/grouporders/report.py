@@ -19,7 +19,8 @@ from .autact import boundary_separation, common_power, ordering_witness, primiti
 from .errors import (CommonRoot, DepthCapExceeded, DimensionMismatch, IdentityAutomorphism,
                      InputError, NoCone)
 from .exactlin import Halfspace, ZeroCombo, classify_cone, vector
-from .hall import identity_matrix, induced_matrix, layer_rank, lyndon_words
+from .hall import (basis_layer, bracket_word, coords_at_level, identity_matrix, induced_matrix,
+                   layer_rank, lyndon_words)
 from .klein import (KleinElement, alpha1, inner_by, is_inner, k_enumerate_orderings,
                     k_out_table, k_pull)
 from .series import magnus
@@ -192,10 +193,15 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CriterionResult:
             rank = 2 if trial % 2 == 0 else 3
             phi = catalog.random_ia_product(rank, rng)
             for level in range(1, 5):
-                m = induced_matrix(phi.forward, level)
-                if m != identity_matrix(layer_rank(rank, level)):
+                identity = identity_matrix(layer_rank(rank, level))
+                if induced_matrix(phi.forward, level) != identity:
                     return False, f"trial {trial}: nontrivial action at level {level}"
-        return True, "50 random IA products trivial at levels 1..4"
+                # the Lie-power matrix is trivial by construction; the words' series are not
+                words = tuple(zip(*(coords_at_level(phi.apply(bracket_word(rank, b)), level)
+                                    for b in basis_layer(rank, level))))
+                if words != identity:
+                    return False, f"trial {trial}: image words move level {level}"
+        return True, "50 random IA products trivial at levels 1..4, as Lie powers and as words"
     return _timed(5, "IA maps act trivially on every quotient", run)
 
 

@@ -14,7 +14,8 @@ and each letter updates the degrees in place: x_i adds degree d times X_i
 into degree d+1, top degree first; x_i^-1 subtracts the updated degree d-1
 times X_i from degree d, bottom first, because new (1 + X_i) = old.  Callers
 decode only the degrees they read: ``magnus`` all, ``leading_part`` the
-first nonzero one, ``magnus_part`` the top one.
+first nonzero one, ``magnus_part`` the top one; ``linear_part`` expands
+nothing, since degree 1 is the vector of exponent sums.
 """
 
 from __future__ import annotations
@@ -176,6 +177,15 @@ def lcs_depth(w: Word, cap: int) -> int | None:
     return None if lead is None else lead[0]
 
 
+def linear_part(w: Word) -> dict[Monomial, int]:
+    """The degree-1 part of mu(w): each generator's exponent sum, zeros left out."""
+    sums: dict[int, int] = {}
+    for letter in w.letters:
+        i = abs(letter)
+        sums[i] = sums.get(i, 0) + (1 if letter > 0 else -1)
+    return {(i,): c for i, c in sorted(sums.items()) if c != 0}
+
+
 def leading_part(w: Word, cap: int) -> tuple[int, dict[Monomial, int]] | None:
     """(depth, degree-depth part of mu(w)); None when deeper than cap.
 
@@ -187,11 +197,7 @@ def leading_part(w: Word, cap: int) -> tuple[int, dict[Monomial, int]] | None:
         raise EmptyWord("depth is undefined for the identity")
     if cap < 1:
         raise InputError("cap must be at least 1")
-    sums: dict[int, int] = {}
-    for letter in w.letters:
-        i = abs(letter)
-        sums[i] = sums.get(i, 0) + (1 if letter > 0 else -1)
-    linear = {(i,): c for i, c in sorted(sums.items()) if c != 0}
+    linear = linear_part(w)
     if linear:
         return 1, linear
     parts = _expand(w, cap)

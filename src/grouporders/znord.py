@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
+from itertools import chain, product
 from operator import mul
 
 from . import exactlin
@@ -217,6 +217,9 @@ def gl_witness(a: IntegerAutomorphism) -> tuple[FlagOrdering, tuple[int, ...]]:
     Search order: the lexicographic ordering (identity flag) against small
     vectors first, then a constructed flag making some ``v`` positive and
     ``A.v`` negative.  The first hit is returned; no canonicity is claimed.
+    Once the two scans have visited MAX_WITNESS_VECTORS vectors, the
+    constructed flag is tried on the basis vectors, one of which ``a``
+    moves; every matrix of dimension 5 or less hits before that.
     """
     if a.is_identity():
         raise IsIdentity("the identity matrix preserves every ordering")
@@ -229,17 +232,17 @@ def gl_witness(a: IntegerAutomorphism) -> tuple[FlagOrdering, tuple[int, ...]]:
         for v, _ in zip(_ball_vectors(n, 2), budget):
             if flag_sign(identity, v) != flag_sign(moved, v):
                 return identity, v
-    for v, _ in zip(_ball_vectors(n, 2), budget):
-        image = a.apply(v)
-        # skip v with A.v a positive multiple of v: no cone separates those
-        if positive_ratio(v, image) is not None:
-            continue
-        flag = realize_flag([v, tuple(-x for x in image)])
-        if flag_sign(flag, v) != 1 or flag_sign(flag, image) != -1:
-            raise CertificateError(f"flag {flag} does not separate {v} from its image {image}")
-        return flag, v
-    # a non-identity A moves some radius-1 vector, so only the budget ends the second scan
-    raise InputError(f"a witness in dimension {n} may need over {MAX_WITNESS_VECTORS} vectors")
+    # past the budget, the basis vectors: a non-identity A moves one of them, and the
+    # only positive rational eigenvalue of a unimodular integer matrix is 1
+    scan = (v for v, _ in zip(_ball_vectors(n, 2), budget))
+    basis = (tuple(int(i == j) for j in range(n)) for i in range(n))
+    # skip v with A.v a positive multiple of v: no cone separates those
+    v = next(v for v in chain(scan, basis) if positive_ratio(v, a.apply(v)) is None)
+    image = a.apply(v)
+    flag = realize_flag([v, tuple(-x for x in image)])
+    if flag_sign(flag, v) != 1 or flag_sign(flag, image) != -1:
+        raise CertificateError(f"flag {flag} does not separate {v} from its image {image}")
+    return flag, v
 
 
 def positive_ratio(u, v) -> Fraction | None:

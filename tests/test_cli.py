@@ -481,12 +481,22 @@ def test_lower_unitriangular_map_at_rank_60_answers_fast(capsys):
     assert time.perf_counter() - start < 1
 
 
-def test_witness_scan_beyond_its_budget_exits_1_fast(capsys):
-    # the first lexicographic witness of x2 -> x2 x1 comes after 3^58 vectors
+def test_witness_scan_beyond_its_budget_answers_fast(capsys):
+    # the first lexicographic witness of x2 -> x2 x1 comes after 3^58 vectors;
+    # past the scans' budget the map moves the basis vector e2
     start = time.perf_counter()
-    code, _, err = run(capsys, "aut", "witness", "x2 -> x2 x1", "--rank", "60", "--cap", "1")
-    _one_line_error(code, err, "InputError")
-    assert "dimension 60 may need over 6248 vectors" in err
+    code, out, _ = run(capsys, "aut", "witness", "x2 -> x2 x1", "--rank", "60", "--cap", "1")
+    assert code == 0 and out.startswith("word x2: Positive before, Negative after")
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("rank", ["10", "13"])
+def test_witness_past_fixed_vectors_answers_fast(capsys, rank):
+    # the map fixes every v with v1 = v2, the first 3^(rank-2) ball vectors
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "aut", "witness", "x1 -> x1 x3 ; x2 -> x2 x3^-1",
+                       "--rank", rank, "--cap", "1")
+    assert code == 0 and out.startswith("word x1: Positive before, Negative after")
     assert time.perf_counter() - start < 1
 
 

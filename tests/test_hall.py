@@ -1,10 +1,11 @@
+import time
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grouporders.errors import DepthExceedsCap
+from grouporders.errors import DepthExceedsCap, InputError
 from grouporders.hall import (basis_layer, bracket_expansion, bracket_word,
                               coords_at_level, decompose_lie, identity_matrix,
                               induced_matrix, layer_rank, leading_coords, lyndon_words)
@@ -208,3 +209,67 @@ def test_lyndon_words_match_the_lyndon_filter(rank):
             w for w in product(range(1, rank + 1), repeat=weight) if _is_lyndon(w))
         assert layer_rank(rank, weight) == len(lyndon_words(rank, weight))
     assert lyndon_words(0, 3) == ()
+
+
+@st.composite
+def endomorphisms(draw, places=((2, 5), (3, 5), (4, 3))):
+    """(endomorphism, level): images of 0-5 letters, some in gamma_2 or repeated."""
+    rank, top = draw(st.sampled_from(places))
+    letters = st.integers(-rank, rank).filter(lambda x: x != 0)
+    images = []
+    for _ in range(rank):
+        kind = draw(st.sampled_from(["word", "word", "commutator", "repeat"]))
+        if kind == "repeat" and images:  # two equal columns: a singular level-1 matrix
+            images.append(images[-1])
+            continue
+        w = word(rank, draw(st.lists(letters, max_size=5)))
+        if kind == "commutator":  # a zero column at level 1
+            w = commutator(w, word(rank, draw(st.lists(letters, max_size=3))))
+        images.append(w)
+    return Endomorphism(rank, tuple(images)), draw(st.integers(1, top))
+
+
+@settings(max_examples=200, deadline=None)
+@given(endomorphisms())
+def test_induced_matrix_matches_the_image_words(case):
+    phi, level = case
+    matrix = induced_matrix(phi, level)
+    for j, b in enumerate(basis_layer(phi.rank, level)):
+        column = coords_at_level(phi.apply(bracket_word(phi.rank, b)), level)
+        assert tuple(row[j] for row in matrix) == column
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([((2, 5),), ((3, 4),)]).flatmap(
+    lambda places: st.tuples(endomorphisms(places), endomorphisms(places))))
+def test_induced_matrix_functorial_at_levels_4_and_5(pair):
+    (phi, _), (psi, _) = pair
+    for level in (4, 5) if phi.rank == 2 else (4,):
+        m_phi, m_psi = induced_matrix(phi, level), induced_matrix(psi, level)
+        n = len(m_phi)
+        assert induced_matrix(phi.compose(psi), level) == tuple(
+            tuple(sum(m_phi[i][k] * m_psi[k][j] for k in range(n)) for j in range(n))
+            for i in range(n))
+
+
+@pytest.mark.parametrize("rank,level,dense", [
+    (2, 12, "x1 -> x1 x2 x1 ; x2 -> x2^2 x1"),
+    (3, 8, "x1 -> x1 x2 x3 ; x2 -> x2 x3^2 x1 ; x3 -> x1^2 x3 x2^-1"),
+])
+def test_deep_induced_matrices_answer_fast(rank, level, dense):
+    ia = parse_endomorphism("x1 -> x1 x2 x1 x2^-1 x1^-1", rank)
+    start = time.perf_counter()
+    assert induced_matrix(ia, level) == identity_matrix(layer_rank(rank, level))
+    assert time.perf_counter() - start < 2
+    start = time.perf_counter()
+    matrix = induced_matrix(parse_endomorphism(dense, rank), level)
+    assert len(matrix) == layer_rank(rank, level) and any(matrix[0])
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.parametrize("rank,level", [(2, 13), (2, 16), (3, 9), (3, 10), (4, 7), (46, 2)])
+def test_oversized_induced_matrices_are_refused_fast(rank, level):
+    start = time.perf_counter()
+    with pytest.raises(InputError, match="Lie terms"):
+        induced_matrix(Endomorphism.identity(rank), level)
+    assert time.perf_counter() - start < 1

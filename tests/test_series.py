@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from grouporders.errors import DimensionMismatch, EmptyWord, InputError
 from grouporders.series import (MAX_SERIES_TERMS, TruncatedSeries, concat, lcs_depth,
-                                leading_part, magnus, magnus_part, one)
+                                leading_part, linear_part, magnus, magnus_part, one)
 from grouporders.words import commutator, generator, identity_word, parse_word, word
 
 
@@ -43,6 +43,13 @@ def test_magnus_is_multiplicative(a, b):
 def test_magnus_inverse_is_series_inverse(ls):
     w = word(2, ls)
     assert (magnus(w, 4) * magnus(w.inverse(), 4)).is_one()
+
+
+@settings(max_examples=80, deadline=None)
+@given(raw_words)
+def test_linear_part_is_the_degree_one_part(ls):
+    w = word(2, ls)
+    assert linear_part(w) == magnus(w, 1).graded_part(1)
 
 
 def test_depth_examples():
