@@ -12,6 +12,10 @@ words (Reutenauer, *Free Lie Algebras*, Thm 5.1), so the coefficients on
 Lyndon words alone give the coordinates, by forward substitution against a
 unitriangular integer matrix.  Bases, bracket expansions and triangles are
 cached per (rank, weight); everything they return is immutable.
+
+Depth 1 needs no series: the weight-1 layer is the generators with an empty
+triangle, so a word of nonzero exponent sum has its exponent sums as
+coordinates, which ``leading_coords`` counts in one pass over the letters.
 """
 
 from __future__ import annotations
@@ -153,7 +157,17 @@ def coords_at_level(w: Word, level: int) -> tuple[int, ...]:
 
 
 def leading_coords(w: Word, cap: int) -> tuple[int, tuple[int, ...]]:
-    """(depth, basis coordinates at that depth) for a word visible at cap."""
+    """(depth, basis coordinates at that depth) for a word visible at cap.
+
+    A word with a nonzero exponent sum has depth 1 and its exponent sums as
+    coordinates (see the module docstring); only other words read the series.
+    """
+    lyndon_words(w.rank, 1)  # refuses a level-1 layer too long to list, before the sums
+    sums = [0] * (w.rank + 1)
+    for letter in w.letters:
+        sums[abs(letter)] += 1 if letter > 0 else -1
+    if cap >= 1 and any(sums):  # leading_part refuses a cap below 1
+        return 1, tuple(sums[1:])
     lead = leading_part(w, cap)
     if lead is None:
         raise DepthExceedsCap(f"word is trivial in every quotient up to class {cap}")

@@ -6,7 +6,8 @@ inverse (indices run 1..rank).  Words always stay freely reduced.
 Words from outside the library are validated: ``Word(rank, letters)``
 checks every letter and that the tuple is reduced.  Words the library
 builds reduced from reduced words go through ``_trusted``, which checks
-nothing; a product cancels only at its seam (Lyndon-Schupp, ch. I).
+nothing; a product cancels only at its seam (Lyndon-Schupp, ch. I), which
+``reduced_product`` does on bare letter tuples.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ def _reduce(letters: Iterable[int]) -> tuple[int, ...]:
     return tuple(stack)
 
 
+def reduced_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    """Letters of a * b for reduced a and b: cancels the longest suffix of a
+    that inverts a prefix of b."""
+    k, n = 0, min(len(a), len(b))
+    while k < n and a[-1 - k] == -b[k]:
+        k += 1
+    return a[:len(a) - k] + b[k:]
+
+
 @dataclass(frozen=True, slots=True)
 class Word:
     rank: int
@@ -46,14 +56,9 @@ class Word:
         object.__setattr__(self, "letters", letters)
 
     def __mul__(self, other: "Word") -> "Word":
-        """Cancels the longest suffix of self that inverts a prefix of other."""
         if self.rank != other.rank:
             raise RankMismatch("cannot multiply words of different ranks")
-        a, b = self.letters, other.letters
-        k, n = 0, min(len(a), len(b))
-        while k < n and a[-1 - k] == -b[k]:
-            k += 1
-        return _trusted(self.rank, a[:len(a) - k] + b[k:])
+        return _trusted(self.rank, reduced_product(self.letters, other.letters))
 
     def __pow__(self, n: int) -> "Word":
         """self^n = c w'^n c^-1 for self = c w' c^-1 with w' cyclically reduced,

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grouporders.errors import DepthExceedsCap, InputError
+from grouporders.errors import DepthExceedsCap, GroupOrderError, InputError
 from grouporders.hall import (basis_layer, bracket_expansion, bracket_word,
                               coords_at_level, decompose_lie, identity_matrix,
                               induced_matrix, layer_rank, leading_coords, lyndon_words)
-from grouporders.series import lcs_depth, magnus
+from grouporders.series import lcs_depth, leading_part, magnus
 from grouporders.words import (Endomorphism, commutator, generator, parse_endomorphism,
                                parse_word, word)
 
@@ -96,6 +96,39 @@ def test_leading_coords_additive_at_fixed_depth(a, b):
     total = tuple(x + y for x, y in zip(cu, cv))
     if any(total):
         assert leading_coords(u * v, cap) == (d, total)
+
+
+@st.composite
+def words_and_caps(draw):
+    """(word, cap) at rank 1-4 and cap 1-5; about half the words have every
+    exponent sum zero, so the series decides their depth."""
+    rank, cap = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    drawn = draw(st.lists(st.integers(-rank, rank).filter(bool), max_size=8))
+    if draw(st.booleans()):
+        drawn += draw(st.permutations([-x for x in drawn]))
+    return word(rank, drawn), cap
+
+
+def _outcome(f, w, cap):
+    try:
+        return f(w, cap)
+    except GroupOrderError as exc:
+        return type(exc)
+
+
+def _coords_from_the_series(w, cap):
+    lead = leading_part(w, cap)
+    if lead is None:
+        raise DepthExceedsCap("deeper than the cap")
+    depth, part = lead
+    return depth, decompose_lie(w.rank, depth, part)
+
+
+@settings(max_examples=300, deadline=None)
+@given(words_and_caps())
+def test_leading_coords_match_the_series(case):
+    w, cap = case
+    assert _outcome(leading_coords, w, cap) == _outcome(_coords_from_the_series, w, cap)
 
 
 def test_induced_matrix_identity():

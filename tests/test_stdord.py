@@ -163,11 +163,24 @@ def test_twisted_ordering_is_left_order_but_not_bi_invariant():
     result = verify_cone_axioms(ordering, 3)
     assert result.left_order_ok
     assert not result.conjugation_ok
+    # the counterexample is genuine: w and x w x^-1 get different signs
+    _, w, x = result.counterexample
+    w, x = parse_word(w, 2), parse_word(x, 2)
+    assert ordering.sign(w.conjugate_by(x)) != ordering.sign(w)
 
 
 def test_ball_distance_basics():
     assert ball_distance(LEX, LEX, 4) == 4
     assert ball_distance(LEX, LEX.opposite(), 4) == 0
+
+
+def test_identity_levels_cache_is_bounded():
+    maxsize = identity_levels.cache_info().maxsize
+    assert maxsize is not None
+    for rank in range(2, maxsize + 10):
+        for cap in (1, 2):
+            identity_levels(rank, cap)
+    assert identity_levels.cache_info().currsize <= maxsize
 
 
 def test_radius_below_one_is_an_input_error():

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 from grouporders.errors import NonAutomorphism, ParseError, RankMismatch
 from grouporders.words import (MAX_WORD_LETTERS, Automorphism, Endomorphism, Word, ball_size,
                                ball_words, commutator, generator, identity_word,
-                               inner_automorphism, parse_endomorphism, parse_word, word)
+                               inner_automorphism, parse_endomorphism, parse_word,
+                               reduced_product, word)
 
 
 def test_parse_and_format():
@@ -52,6 +53,15 @@ raw_words = st.lists(letters, max_size=8)
 def test_multiplication_associative_via_reduction(a, b):
     u, v = word(2, a), word(2, b)
     assert (u * v).inverse() == v.inverse() * u.inverse()
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw_words, raw_words, raw_words)
+def test_reduced_product_matches_reducing_the_concatenation(a, c, b):
+    # u ends in c and v starts with c^-1, so most seams cancel
+    u = word(2, a + c)
+    v = word(2, [-x for x in reversed(c)] + b)
+    assert reduced_product(u.letters, v.letters) == word(2, u.letters + v.letters).letters
 
 
 # c u c^-1 before reduction, so many draws are not cyclically reduced
