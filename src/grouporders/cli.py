@@ -87,7 +87,7 @@ def _emit(args, payload, human: str) -> None:
         print(human)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # bounded: no arguments, so one parser
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process; parsing does not change it.
 

@@ -10,8 +10,9 @@ decomposing the degree-i part of its series image over the layer.
 The bracket of a Lyndon word w expands as w plus lexicographically larger
 words (Reutenauer, *Free Lie Algebras*, Thm 5.1), so the coefficients on
 Lyndon words alone give the coordinates, by forward substitution against a
-unitriangular integer matrix.  Bases, bracket expansions and triangles are
-cached per (rank, weight); everything they return is immutable.
+unitriangular integer matrix.  Bases and triangles are cached per (rank,
+weight) as immutable tuples.  Triangles and induced maps share one layer
+builder on integer-coded monomials, whose bracket images live for the call.
 
 Depth 1 needs no series: the weight-1 layer is the generators with an empty
 triangle, so a word of nonzero exponent sum has its exponent sums as
@@ -33,7 +34,7 @@ MAX_LIE_TERMS = 10 ** 6  # held bracket images in induced_matrix, and its entrie
 Bracket = int | tuple
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # bounded: one key per layer listed, each <= MAX_SERIES_TERMS words
 def lyndon_words(rank: int, weight: int) -> tuple[tuple[int, ...], ...]:
     """All Lyndon words of the given length, lexicographically ordered.
 
@@ -57,7 +58,7 @@ def lyndon_words(rank: int, weight: int) -> tuple[tuple[int, ...], ...]:
     return tuple(words)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # bounded: as lyndon_words, which refuses a layer first
 def basis_layer(rank: int, weight: int) -> tuple[Bracket, ...]:
     """Basic commutators of one weight, ordered like their Lyndon words."""
     return tuple(_bracketing(w) for w in lyndon_words(rank, weight))
@@ -71,7 +72,7 @@ def _bracketing(w: tuple[int, ...]) -> Bracket:
     return (_bracketing(w[:split]), _bracketing(w[split:]))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # bounded: int values; each caller stops past its term bound
 def layer_rank(rank: int, weight: int) -> int:
     """Number of Lyndon words of a length, by Witt's formula, listing none.
 
@@ -91,9 +92,8 @@ def bracket_word(rank: int, b: Bracket) -> Word:
     return commutator(bracket_word(rank, b[0]), bracket_word(rank, b[1]))
 
 
-@lru_cache(maxsize=None)
 def bracket_expansion(b: Bracket) -> dict[Monomial, int]:
-    """Expansion of a bracket in the free associative ring, [u,v] = uv - vu."""
+    """[u,v] = uv - vu in the free associative ring, on tuple monomials for stdord; uncached."""
     if isinstance(b, int):
         return {(b,): 1}
     left = bracket_expansion(b[0])
@@ -104,18 +104,19 @@ def bracket_expansion(b: Bracket) -> dict[Monomial, int]:
     return {m: c for m, c in out.items() if c != 0}
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # bounded: degree <= a flag-bounded cap: 46 keys, <= 2048 tuples
 def monomials(rank: int, degree: int) -> tuple[Monomial, ...]:
     return tuple(product(range(1, rank + 1), repeat=degree))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # bounded: one key per layer read, rows <= 2^(weight-1) entries
 def _triangle(rank: int, weight: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Row i: (k, coefficient) of each Lyndon word k > i in bracket i's expansion."""
-    index = {w: k for k, w in enumerate(lyndon_words(rank, weight))}
+    index = {code: k for k, code in enumerate(_lyndon_codes(rank, weight))}
+    images = _lie_layers([{i: 1} for i in range(1, rank + 1)], weight + 1)
     rows = []
     for i, b in enumerate(basis_layer(rank, weight)):
-        row = sorted((index[m], c) for m, c in bracket_expansion(b).items() if m in index)
+        row = sorted((index[m], c) for m, c in images[b][0].items() if m in index)
         if row[:1] != [(i, 1)]:
             raise CertificateError(f"bracket {b} is not word {i} plus later Lyndon words")
         rows.append(tuple(row[1:]))
@@ -207,20 +208,11 @@ def induced_matrix(phi: Endomorphism, level: int) -> tuple[tuple[int, ...], ...]
     if held > MAX_LIE_TERMS or layer_rank(rank, level) ** 2 > MAX_LIE_TERMS:
         raise InputError(f"the level-{level} map of rank {rank} needs more than "
                          f"{MAX_LIE_TERMS} Lie terms")
-    # monomials coded as in series: base-(rank+1) numerals, so uv = u * base^|v| + v
-    base = rank + 1
-    # bracket -> (its image, its weight); a Lyndon bracket's factors are Lyndon brackets
-    images: dict[Bracket, tuple[dict[int, int], int]] = {
-        i: ({m[0]: c for m, c in linear_part(w).items()}, 1)
-        for i, w in enumerate(phi.images, start=1)}
-    for k in range(2, level):
-        for b in basis_layer(rank, k):
-            (p, i), (q, j) = images[b[0]], images[b[1]]
-            images[b] = _commutator(p, q, base ** i, base ** j), k
-    codes = [sum(x * base ** k for k, x in enumerate(reversed(w)))
-             for w in lyndon_words(rank, level)]
+    images = _lie_layers([{m[0]: c for m, c in linear_part(w).items()} for w in phi.images],
+                         level)
+    codes = _lyndon_codes(rank, level)
     # j -> each top Lyndon word as (its first level - j letters, its last j)
-    splits = {j: [divmod(code, base ** j) for code in codes] for j in range(1, level)}
+    splits = {j: [divmod(code, (rank + 1) ** j) for code in codes] for j in range(1, level)}
     columns = []
     for b in basis_layer(rank, level):
         if isinstance(b, int):
@@ -232,6 +224,26 @@ def induced_matrix(phi: Endomorphism, level: int) -> tuple[tuple[int, ...], ...]
                       for (u, v), (s, t) in zip(splits[j], splits[i])]
         columns.append(_substitute(rank, level, coeffs))
     return tuple(zip(*columns))
+
+
+def _lyndon_codes(rank: int, weight: int) -> list[int]:
+    """Lyndon words coded as in series: base-(rank+1) numerals, uv = u * base^|v| + v."""
+    base = rank + 1
+    return [sum(x * base ** k for k, x in enumerate(reversed(w)))
+            for w in lyndon_words(rank, weight)]
+
+
+def _lie_layers(images: list[dict[int, int]],
+                top: int) -> dict[Bracket, tuple[dict[int, int], int]]:
+    """Bracket -> (image, weight) for the generators, given as coded degree-1
+    dicts, and each Lyndon bracket of weight below top, built from its factors."""
+    base = len(images) + 1
+    held = {i: (p, 1) for i, p in enumerate(images, start=1)}
+    for k in range(2, top):
+        for b in basis_layer(len(images), k):
+            (p, i), (q, j) = held[b[0]], held[b[1]]
+            held[b] = _commutator(p, q, base ** i, base ** j), k
+    return held
 
 
 def _commutator(p: dict[int, int], q: dict[int, int],

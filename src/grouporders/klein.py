@@ -126,7 +126,7 @@ def _cone_axioms_hold(ordering: KleinOrdering, radius: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None)  # bounded: the four Klein cones, each value None
 def _verify_cone(ordering: KleinOrdering) -> None:
     """The radius-3 cone-axiom check, once per (eps, delta) per process."""
     if not _cone_axioms_hold(ordering, 3):
@@ -229,7 +229,7 @@ def k_pull(phi: KleinAut, ordering: KleinOrdering) -> KleinOrdering:
     return pulled
 
 
-@lru_cache(maxsize=1024)  # bounded: phi can come from user input
+@lru_cache(maxsize=1024)  # bounded: 1024 keys, since phi can come from user input
 def _verify_pull(phi: KleinAut, ordering: KleinOrdering, pulled: KleinOrdering) -> None:
     """The radius-3 check of a pull; ``pulled`` is fixed by (phi, ordering)."""
     if any(pulled.sign(p) != ordering.sign(phi.apply(p)) for p in _ball(3)):

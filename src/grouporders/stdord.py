@@ -126,8 +126,7 @@ class StandardOrdering:
                    tuple(FlagOrdering.from_json(f) for f in data["levels"]))
 
 
-# 8 keys of at most MAX_FLAG_ENTRIES flag entries each; callers reuse one or two
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=8)  # bounded: 8 keys of <= MAX_FLAG_ENTRIES entries; callers reuse 1-2
 def identity_levels(rank: int, cap: int) -> tuple[FlagOrdering, ...]:
     """Identity flags on levels 1..cap; cached, since flags are immutable."""
     if rank < 1:

@@ -1,12 +1,20 @@
+import hashlib
+import os
+import random
+import subprocess
+import sys
+import textwrap
 import time
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import grouporders
 from grouporders.errors import DepthExceedsCap, GroupOrderError, InputError
-from grouporders.hall import (basis_layer, bracket_expansion, bracket_word,
+from grouporders.hall import (_triangle, basis_layer, bracket_expansion, bracket_word,
                               coords_at_level, decompose_lie, identity_matrix,
                               induced_matrix, layer_rank, leading_coords, lyndon_words)
 from grouporders.series import lcs_depth, leading_part, magnus
@@ -168,6 +176,9 @@ def test_lyndon_words_are_cached_and_ordered():
 
 # (rank, largest weight) places for the decomposition properties
 PLACES = [(2, 5), (3, 5), (4, 4)]
+# sha256 of the seeded outcomes pinned below; a change to either is explained in CHANGES.md
+INDUCED_DIGEST = "bf45a7b4b02c7f8df0b0fe52cb9560aba3c7af6601dad07cc8a671773b037238"
+LEADING_DIGEST = "68bdab7c3fa08d39b5c33f453fb53c2ede628f93deed08bb56a7d0e0283f28a8"
 
 
 @st.composite
@@ -306,3 +317,88 @@ def test_oversized_induced_matrices_are_refused_fast(rank, level):
     with pytest.raises(InputError, match="Lie terms"):
         induced_matrix(Endomorphism.identity(rank), level)
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("rank,top", PLACES + [(3, 6), (2, 9)])
+def test_triangle_matches_the_bracket_expansions(rank, top):
+    for weight in range(1, top + 1):
+        index = {w: k for k, w in enumerate(lyndon_words(rank, weight))}
+        assert _triangle(rank, weight) == tuple(
+            tuple(sorted((index[m], c) for m, c in bracket_expansion(b).items()
+                         if index.get(m, -1) > i))
+            for i, b in enumerate(basis_layer(rank, weight)))
+
+
+def _pinned(f, *args) -> str:
+    try:
+        return repr(f(*args))
+    except GroupOrderError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _seeded_word(rng: random.Random, rank: int, length: int):
+    return word(rank, [rng.choice([-1, 1]) * rng.randint(1, rank)
+                       for _ in range(rng.randint(0, length))])
+
+
+def _seeded_endomorphism(rng: random.Random) -> Endomorphism:
+    """Images of 0-5 letters, some in gamma_2 or repeated, as in ``endomorphisms``."""
+    rank = rng.randint(2, 4)
+    images = []
+    for _ in range(rank):
+        kind = rng.choice(["word", "word", "commutator", "repeat"])
+        if kind == "repeat" and images:
+            images.append(images[-1])
+            continue
+        w = _seeded_word(rng, rank, 5)
+        if kind == "commutator":
+            w = commutator(w, _seeded_word(rng, rank, 3))
+        images.append(w)
+    return Endomorphism(rank, tuple(images))
+
+
+def test_induced_matrices_of_seeded_endomorphisms_are_pinned():
+    rng = random.Random(22)
+    lines = []
+    for _ in range(200):
+        phi, level = _seeded_endomorphism(rng), rng.randint(1, 5)
+        lines.append(f"{phi.images} {level} {_pinned(induced_matrix, phi, level)}")
+    assert _digest(lines) == INDUCED_DIGEST
+
+
+def test_leading_coords_of_seeded_words_are_pinned():
+    rng = random.Random(22)
+    lines = []
+    for _ in range(1000):
+        rank, cap = rng.randint(1, 4), rng.randint(1, 6)
+        w = _seeded_word(rng, rank, 8)
+        for _ in range(rng.choice([0, 0, 1, 2, 3, 4])):  # each commutator may sit one level deeper
+            w = commutator(w, _seeded_word(rng, rank, 3))
+        if not w.is_identity():
+            lines.append(f"{w.letters} {cap} {_pinned(leading_coords, w, cap)}")
+    assert _digest(lines) == LEADING_DIGEST
+
+
+RETAINED = textwrap.dedent("""
+    import tracemalloc
+    from grouporders import hall
+    tracemalloc.start()
+    hall._triangle(3, 8)
+    hall._triangle(2, 12)
+    print(tracemalloc.get_traced_memory()[0])
+""")
+
+
+def test_triangles_retain_little_beyond_themselves():
+    """The two largest triangles the coordinate paths build at ranks 2 and 3
+    keep about 1.8 MB; a process-wide cache of their bracket expansions keeps 25 MB."""
+    path = [str(Path(grouporders.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
+    result = subprocess.run([sys.executable, "-c", RETAINED], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert int(result.stdout) < 4 * 2 ** 20

@@ -70,7 +70,7 @@ CODE = textwrap.dedent("""
           [(klein, "k_pull", lambda phi, ordering: orderings[0])])
 
     check("is not word 0 plus later Lyndon words", lambda: hall.decompose_lie(2, 3, {}),
-          [(hall, "bracket_expansion", lambda b: {})])
+          [(hall, "_commutator", lambda p, q, p_shift, q_shift: {})])
 
     check("equal rank and cap",
           lambda: magnus(parse_word("x1", 2), 3) * magnus(parse_word("x2", 2), 4),
