@@ -2,8 +2,9 @@
 
 Vectors are tuples of ``fractions.Fraction`` (always in lowest terms with a
 positive denominator, which the stdlib guarantees), matrices are tuples of
-row vectors.  Everything here is exact; there is no floating point anywhere
-because every downstream consumer turns these numbers into *signs*.
+row vectors; cone work, which needs only signs, runs on integer multiples.
+Everything here is exact; there is no floating point anywhere because every
+downstream consumer turns these numbers into *signs*.
 
 The one nontrivial routine is :func:`classify_cone`.  Given nonzero vectors
 ``v_1 .. v_m`` it produces exactly one of two self-verifying certificates:
@@ -69,8 +70,13 @@ def is_zero_vector(v: Sequence) -> bool:
 
 def clear_denominators(v: Vector) -> tuple[int, ...]:
     """``v`` times the lcm of its denominators: a positive integer multiple."""
+    return _int_row(v)[0]
+
+
+def _int_row(v: Vector) -> tuple[tuple[int, ...], int]:
+    """The constraint ``v . x >= 1`` times the lcm L of v's denominators: (L v, L)."""
     lcm = math.lcm(*(x.denominator for x in v))
-    return tuple(x.numerator * (lcm // x.denominator) for x in v)
+    return tuple(x.numerator * (lcm // x.denominator) for x in v), lcm
 
 
 def scale_to_integers(v: Sequence[Fraction]) -> tuple[int, ...]:
@@ -156,7 +162,10 @@ class Halfspace:
     functional: Vector
 
     def strict_for(self, vectors: Sequence[Vector]) -> bool:
-        return all(dot(self.functional, v) > 0 for v in vectors)
+        """Integer dot products: positive multiples of f and v keep every sign."""
+        f = clear_denominators(self.functional)
+        return all(len(v) == len(f) and sum(map(mul, f, clear_denominators(v))) > 0
+                   for v in vectors)
 
 
 @dataclass(frozen=True)
@@ -241,7 +250,8 @@ def _find_zero_combo(vs: Sequence[Vector]) -> ZeroCombo | None:
     return None
 
 
-def solve_inequalities(constraints: list[tuple[Vector, Fraction]], nvars: int) -> Vector | None:
+def solve_inequalities(constraints: list[tuple[Sequence, int | Fraction]],
+                       nvars: int) -> Vector | None:
     """A point satisfying every ``coeffs . x >= b``, or None.
 
     Fourier-Motzkin: variables are eliminated from the last index down, each
@@ -251,6 +261,10 @@ def solve_inequalities(constraints: list[tuple[Vector, Fraction]], nvars: int) -
     projection stays the same.  Variables are then assigned back in ascending
     order from the bounds recorded at elimination, taking the max lower bound
     (else min upper bound, else zero): deterministic and seed-free.
+
+    Integer rows are accepted, and the cone callers pass them: a row times a
+    positive integer leaves every projection and bound, hence the point,
+    unchanged, so only back-substitution divides, as ``Fraction``.
     """
     system = {1 << i: row for i, row in enumerate(constraints)}
     bounds = []  # (lowers, uppers) of each variable, last index first
@@ -265,16 +279,15 @@ def solve_inequalities(constraints: list[tuple[Vector, Fraction]], nvars: int) -
                     continue
                 # combine x >= (lb - lrest)/lc with x <= (ub - urest)/uc
                 scale_l, scale_u = -uc[var], lc[var]
-                coeffs = tuple(scale_l * a + scale_u * b for a, b in zip(lc, uc))
-                rest[support] = (coeffs[:var] + (Fraction(0),) + coeffs[var + 1:],
-                                 scale_l * lb + scale_u * ub)
+                rest[support] = (tuple(scale_l * a + scale_u * b for a, b in zip(lc, uc)),
+                                 scale_l * lb + scale_u * ub)  # exactly 0 at var
         system = rest
         bounds.append((lowers, uppers))
     if any(b > 0 for _, b in system.values()):
         return None
     values: list[Fraction] = []
     for var, (lowers, uppers) in enumerate(reversed(bounds)):
-        found = [(b - sum(map(mul, coeffs, values))) / coeffs[var]
+        found = [Fraction(b - sum(map(mul, coeffs, values)), coeffs[var])  # never int / int
                  for coeffs, b in (lowers or uppers).values()]
         values.append(max(found) if lowers else min(found) if uppers else Fraction(0))
     return tuple(values)
@@ -291,13 +304,12 @@ def classify_cone(vs: Sequence) -> ConeCertificate:
     combo = _find_zero_combo(vs)
     if combo is not None:
         return combo
-    n = len(vs[0])
-    constraints = [(v, Fraction(1)) for v in vs]
-    f = solve_inequalities(constraints, n)
+    rows = [_int_row(v) for v in vs]
+    f = solve_inequalities(rows, len(vs[0]))
     if f is None:
         raise CertificateError("no zero combination and no strict functional")
     cert = Halfspace(f)
-    if not cert.strict_for(vs):
+    if not cert.strict_for([row for row, _ in rows]):
         raise CertificateError(f"{cert} is not strictly positive on {vs}")
     return cert
 
@@ -316,9 +328,10 @@ def strict_separator(pos: Sequence, neg: Sequence) -> Vector:
         raise DimensionMismatch("pos and neg must share a dimension")
     vs = pos + tuple(tuple(-x for x in q) for q in neg)
     _check_cone_size(vs)
-    f = solve_inequalities([(v, Fraction(1)) for v in vs], n)
+    rows = [_int_row(v) for v in vs]
+    f = solve_inequalities(rows, n)
     if f is None:
         raise NoSeparator(f"no functional strictly separates {pos} from {neg}")
-    if not Halfspace(f).strict_for(vs):
+    if not Halfspace(f).strict_for([row for row, _ in rows]):
         raise CertificateError(f"functional {f} does not strictly separate {pos} from {neg}")
     return f

@@ -46,8 +46,8 @@ from .hall import decompose_lie, layer_rank, leading_coords, monomials
 from .series import Monomial, concat, leading_part, magnus_part
 from .words import (MAX_BALL_WORDS, Word, _trusted, ball_size, ball_words, common_root,
                     identity_word, reduced_product)
-from .znord import (FlagOrdering, complete_flag, flag_sign, opposite as flag_opposite,
-                    positive_ratio)
+from .znord import (FlagOrdering, _int_sign, complete_flag, flag_sign,
+                    opposite as flag_opposite, positive_ratio)
 
 POWER_BOUND = 64  # largest exponent a or b that separate tries in g^a, k^b
 MAX_FLAG_ENTRIES = 100_000  # no ordering holds level flags with more matrix entries
@@ -107,7 +107,7 @@ class StandardOrdering:
         if w.is_identity():
             raise EmptyWord("the identity has no sign")
         depth, coords = leading_coords(w, self.cap)
-        value = flag_sign(self.levels[depth - 1], coords)
+        value = _int_sign(self.levels[depth - 1], coords)
         if value == 0:
             raise CertificateError(f"flag gave sign 0 to the nonzero coordinates {coords}")
         return value

@@ -149,6 +149,11 @@ def flag_sign(f: FlagOrdering, v) -> int:
     if len(v) != f.dimension:
         raise DimensionMismatch(
             f"vector of dimension {len(v)} under a flag of dimension {f.dimension}")
+    return _int_sign(f, v)
+
+
+def _int_sign(f: FlagOrdering, v: tuple[int, ...]) -> int:
+    """flag_sign of an int tuple of the flag's dimension; checks nothing."""
     for row in f._int_rows:
         value = sum(map(mul, row, v))
         if value:
@@ -181,7 +186,9 @@ def complete_flag(first_row) -> FlagOrdering:
 
     The basis rows follow in index order, leaving out the one at the first
     row's last nonzero index: that is the only basis row already in the span
-    of the first row and the basis rows before it.
+    of the first row and the basis rows before it.  The determinant is then
+    plus or minus that nonzero entry, so the flag is built without
+    FlagOrdering's rank check, as ``words._trusted`` builds words unreduced.
     """
     first = vector(first_row)
     skip = max((i for i, x in enumerate(first) if x != 0), default=None)
@@ -190,7 +197,15 @@ def complete_flag(first_row) -> FlagOrdering:
     n = len(first)
     basis = (tuple(Fraction(1 if j == i else 0) for j in range(n))
              for i in range(n) if i != skip)
-    return FlagOrdering((first, *basis))
+    return _trusted_flag((first, *basis))
+
+
+def _trusted_flag(rows: Matrix) -> FlagOrdering:
+    """A square Fraction matrix the library built full rank; checks nothing."""
+    flag = object.__new__(FlagOrdering)
+    object.__setattr__(flag, "rows", rows)
+    object.__setattr__(flag, "_int_rows", tuple(clear_denominators(r) for r in rows))
+    return flag
 
 
 def realize_flag(positives) -> FlagOrdering:

@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from grouporders.errors import EmptyInput, InputError, NoSeparator, ZeroVectorInput
-from grouporders.exactlin import (MAX_CONE_SUBSETS, Halfspace, ZeroCombo, classify_cone,
-                                  clear_denominators, dot, kernel_basis, matrix, rank,
-                                  scale_to_integers, solve_inequalities, solve_linear,
+from grouporders.exactlin import (MAX_CONE_SUBSETS, Halfspace, ZeroCombo, _int_row,
+                                  classify_cone, clear_denominators, dot, kernel_basis, matrix,
+                                  rank, scale_to_integers, solve_inequalities, solve_linear,
                                   strict_separator, vector)
 
 
@@ -222,6 +222,22 @@ def test_cone_systems_holding_v_and_minus_v_are_infeasible(system, index):
     v = vs[index % len(vs)]
     vs.append(tuple(-x for x in v))
     assert solve_inequalities([(v, Fraction(1)) for v in vs], len(h)) is None
+
+
+_cone_vectors = st.integers(1, 6).flatmap(lambda n: st.one_of(
+    st.lists(st.tuples(*[_fm_entries] * n).filter(any), min_size=2, max_size=2),  # 1-vs-1
+    st.lists(st.tuples(*[_fm_entries] * n).filter(any), min_size=1, max_size=6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_cone_vectors)
+@example([(Fraction(1, 2),), (Fraction(-1, 3),)])  # a first variable from integer rows
+def test_integer_rows_give_the_rational_rows_point(vs):
+    vs = [vector(v) for v in vs]
+    rows = [_int_row(v) for v in vs]
+    assert all(type(x) is int for row, lcm in rows for x in (*row, lcm))
+    assert repr(solve_inequalities(rows, len(vs[0]))) == \
+        repr(solve_inequalities([(v, Fraction(1)) for v in vs], len(vs[0])))
 
 
 def _pointed(m, n):

@@ -42,10 +42,11 @@ def _validated(w: Word) -> Word:
 
 
 @st.composite
-def _reduced(draw, rank, max_len=12):
-    """A freely reduced letter tuple of length 0..max_len."""
+def _reduced(draw, rank, max_len=12, min_len=0):
+    """A freely reduced letter tuple of length min_len..max_len."""
     letters = []
-    for x in draw(st.lists(st.integers(1, rank) | st.integers(-rank, -1), max_size=max_len)):
+    for x in draw(st.lists(st.integers(1, rank) | st.integers(-rank, -1),
+                           min_size=min_len, max_size=max_len)):
         letters.append(-x if letters and letters[-1] == -x else x)
     return tuple(letters)
 
@@ -58,14 +59,16 @@ def _rank_and(draw, *shapes):
 
 
 @st.composite
-def _powers_of_one_root(draw):
-    """rank, c h^m c^-1 and c h^n c^-1 for drawn c, h, m, n, or a second word
-    drawn freely; both nonempty and of length <= 12."""
-    rank, c, h = draw(_rank_and(3, 3))
+def _powers_of_one_root(draw, min_rank=1, min_len=0):
+    """rank in min_rank..3, c h^m c^-1 and c h^n c^-1 for drawn c, h, m, n, or a
+    second word drawn freely; both nonempty and of length <= 12.  h and the
+    free word have at least min_len letters."""
+    rank = draw(st.integers(min_rank, 3))
+    c, h = draw(_reduced(rank, 3)), draw(_reduced(rank, 3, min_len))
     m, n = draw(st.integers(1, 2)), draw(st.integers(1, 2))
     g = oracle.reduce_letters(c + h * m + oracle.inverse(c))
     k = oracle.reduce_letters(c + h * n + oracle.inverse(c)) if draw(st.booleans()) \
-        else draw(_reduced(rank))
+        else draw(_reduced(rank, 12, min_len))
     assume(g and k)
     return rank, g, k
 
@@ -166,11 +169,11 @@ def test_leading_coords_agree_with_the_oracle(case):
 
 
 @settings(max_examples=200, deadline=None)
-@given(_powers_of_one_root())
+# F_1 has no level-2 flag, so no class-5 ordering; an empty h gives an empty g
+@given(_powers_of_one_root(min_rank=2, min_len=1))
 def test_separate_signs_agree_with_the_oracle_flags(case):
     rank, g, k = case
-    # F_1 has no level-2 flag, so no class-5 ordering
-    assume(rank > 1 and g != k)
+    assume(g != k)
     common = oracle.primitive_root(g) == oracle.primitive_root(k)
     try:
         ordering = separate(Word(rank, g), Word(rank, k), 5)

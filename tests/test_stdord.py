@@ -279,15 +279,15 @@ def test_sign_and_separation_checks_survive_optimisation():
         if __debug__:
             raise SystemExit("not running under -O")
         x1, x2 = parse_word("x1", 2), parse_word("x2", 2)
-        real_flag_sign = stdord.flag_sign
-        stdord.flag_sign = lambda flag, v: 0
+        real_int_sign = stdord._int_sign
+        stdord._int_sign = lambda flag, v: 0
         try:
             stdord.identity_ordering(2, 5).sign(x1)
         except CertificateError:
             pass
         else:
             raise SystemExit("the nonzero-sign check was dropped")
-        stdord.flag_sign = real_flag_sign
+        stdord._int_sign = real_int_sign
         stdord.StandardOrdering.sign = lambda self, w: 1
         try:
             stdord.separate(x1, x2)

@@ -194,12 +194,16 @@ rational_rows = st.integers(1, 6).flatmap(
 @settings(max_examples=200, deadline=None)
 @given(rational_rows)
 def test_complete_flag_matches_greedy_rank_scan(row):
-    assert complete_flag(row).rows == _greedy_flag_rows(row)
+    # complete_flag skips the rank check; the greedy rows go through it
+    flag, checked = complete_flag(row), FlagOrdering(_greedy_flag_rows(row))
+    assert flag.rows == checked.rows and flag._int_rows == checked._int_rows
+    assert flag == checked and flag.to_json() == checked.to_json()
 
 
 def test_complete_flag_rejects_zero_row():
-    with pytest.raises(DimensionMismatch):
-        complete_flag((0, 0, 0))
+    for n in range(1, 7):
+        with pytest.raises(DimensionMismatch):
+            complete_flag((0,) * n)
 
 
 @settings(max_examples=200, deadline=None)
