@@ -116,6 +116,25 @@ def rank(rows: Iterable[Iterable]) -> int:
     return len(rref(rows)[1])
 
 
+def int_det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination: each division, by the previous pivot, is exact."""
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for c in range(len(m)):
+        pivot = next((i for i in range(c, len(m)) if m[i][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            m[c], m[pivot], sign = m[pivot], m[c], -sign
+        top = m[c]
+        for row in m[c + 1:]:  # after step c, row[k] is a (c+1) x (c+1) minor
+            row[c + 1:] = [(x * top[c] - row[c] * y) // prev
+                           for x, y in zip(row[c + 1:], top[c + 1:])]
+        prev = top[c]
+    return sign * prev
+
+
 def kernel_basis(m: Iterable[Iterable]) -> list[Vector]:
     """Exact basis of the right null space of ``m``.
 

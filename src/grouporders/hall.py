@@ -22,7 +22,6 @@ coordinates, which ``leading_coords`` counts in one pass over the letters.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product
 
 from .errors import CertificateError, DepthExceedsCap, InputError
 from .series import Monomial, concat, leading_part, linear_part
@@ -104,19 +103,19 @@ def bracket_expansion(b: Bracket) -> dict[Monomial, int]:
     return {m: c for m, c in out.items() if c != 0}
 
 
-@lru_cache(maxsize=None)  # bounded: degree <= a flag-bounded cap: 46 keys, <= 2048 tuples
-def monomials(rank: int, degree: int) -> tuple[Monomial, ...]:
-    return tuple(product(range(1, rank + 1), repeat=degree))
-
-
 @lru_cache(maxsize=None)  # bounded: one key per layer read, rows <= 2^(weight-1) entries
 def _triangle(rank: int, weight: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Row i: (k, coefficient) of each Lyndon word k > i in bracket i's expansion."""
     index = {code: k for k, code in enumerate(_lyndon_codes(rank, weight))}
-    images = _lie_layers([{i: 1} for i in range(1, rank + 1)], weight + 1)
+    images = _lie_layers([{i: 1} for i in range(1, rank + 1)], weight)
     rows = []
     for i, b in enumerate(basis_layer(rank, weight)):
-        row = sorted((index[m], c) for m, c in images[b][0].items() if m in index)
+        if isinstance(b, int):
+            image = images[b][0]
+        else:  # the top layer's images are built one at a time, never held together
+            (p, s), (q, t) = images[b[0]], images[b[1]]
+            image = _commutator(p, q, (rank + 1) ** s, (rank + 1) ** t)
+        row = sorted((index[m], c) for m, c in image.items() if m in index)
         if row[:1] != [(i, 1)]:
             raise CertificateError(f"bracket {b} is not word {i} plus later Lyndon words")
         rows.append(tuple(row[1:]))

@@ -42,7 +42,7 @@ from . import exactlin, hall
 from .errors import (CertificateError, CommonRoot, DepthCapExceeded, DepthExceedsCap,
                      DimensionMismatch, EmptyWord, InputError, ParseError)
 from .exactlin import strict_separator
-from .hall import decompose_lie, layer_rank, leading_coords, monomials
+from .hall import decompose_lie, layer_rank, leading_coords
 from .series import Monomial, concat, leading_part, magnus_part
 from .words import (MAX_BALL_WORDS, Word, _trusted, ball_size, ball_words, common_root,
                     identity_word, reduced_product)
@@ -456,8 +456,9 @@ def build_twisted(rank: int, cap: int, d: int, u0: Sequence[int], j: int,
     Raises DepthCapExceeded when no admissible psi separates z from the
     constraint space.
     """
-    mons = monomials(rank, j)
-    rows = [[c.get(m, 0) for m in mons] for c in _twist_constraints(rank, d, u0, j) + [z_part]]
+    constraints = _twist_constraints(rank, d, u0, j) + [z_part]
+    mons = sorted(set().union(*constraints))  # psi is 0 where no row reaches
+    rows = [[c.get(m, 0) for m in mons] for c in constraints]
     solution = exactlin.solve_linear(rows, [0] * (len(rows) - 1) + [1])
     if solution is None:
         raise DepthCapExceeded(

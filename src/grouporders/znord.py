@@ -17,14 +17,15 @@ from operator import mul
 
 from . import exactlin
 from .errors import CertificateError, DimensionMismatch, InputError, IsIdentity, NoCone
-from .exactlin import Matrix, classify_cone, clear_denominators, matrix, vector
+from .exactlin import Matrix, classify_cone, clear_denominators, int_det, matrix, vector
 
 MAX_WITNESS_VECTORS = 2 * (5 ** 5 - 1)  # gl_witness's two scans in all; enough for n <= 5
 
 
 @dataclass(frozen=True)
 class FlagOrdering:
-    """Full-rank n x n rational matrix, outermost functional first."""
+    """Full-rank n x n rational matrix, outermost functional first; checked exactly
+    when its rows come from outside the library (see ``_trusted_flag``)."""
 
     rows: Matrix
     # each row times a positive integer: the same signs, integer arithmetic
@@ -33,12 +34,11 @@ class FlagOrdering:
     def __post_init__(self):
         rows = matrix(self.rows)
         object.__setattr__(self, "rows", rows)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
+        if not rows or len(rows[0]) != len(rows):  # matrix() made the rows equally long
             raise DimensionMismatch("flag matrix must be square and nonempty")
-        if exactlin.rank(rows) != n:
-            raise DimensionMismatch("flag matrix must have full rank")
         object.__setattr__(self, "_int_rows", tuple(clear_denominators(r) for r in rows))
+        if int_det(self._int_rows) == 0:
+            raise DimensionMismatch("flag matrix must have full rank")
 
     @property
     def dimension(self) -> int:
@@ -86,8 +86,9 @@ class FlagOrdering:
 
     @classmethod
     def identity(cls, n: int) -> "FlagOrdering":
-        return cls(tuple(tuple(Fraction(1 if i == j else 0) for j in range(n))
-                         for i in range(n)))
+        if n < 1:
+            raise DimensionMismatch("flag matrix must be square and nonempty")
+        return complete_flag((1,) + (0,) * (n - 1))  # e_1, then e_2 .. e_n
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ class IntegerAutomorphism:
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise DimensionMismatch("automorphism matrix must be square")
-        if abs(_int_det(rows)) != 1:
+        if abs(int_det(rows)) != 1:
             raise DimensionMismatch("automorphism matrix must have det +-1")
 
     @property
@@ -119,26 +120,6 @@ class IntegerAutomorphism:
         if len(v) != self.dimension:
             raise DimensionMismatch("vector dimension mismatch")
         return tuple(sum(r * x for r, x in zip(row, v)) for row in self.entries)
-
-
-def _int_det(rows) -> Fraction:
-    m = [[Fraction(x) for x in row] for row in rows]
-    n = len(m)
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
 
 
 def flag_sign(f: FlagOrdering, v) -> int:
@@ -162,15 +143,14 @@ def _int_sign(f: FlagOrdering, v: tuple[int, ...]) -> int:
 
 
 def opposite(f: FlagOrdering) -> FlagOrdering:
-    return FlagOrdering(tuple(tuple(-x for x in row) for row in f.rows))
+    return _trusted_flag(tuple(tuple(-x for x in row) for row in f.rows))
 
 
 def act(a: IntegerAutomorphism, f: FlagOrdering) -> FlagOrdering:
-    """Pullback ordering: the returned flag signs v the way f signs A.v."""
+    """Pullback ordering: the returned flag signs v the way f signs A.v; det FA = +-det F."""
     if a.dimension != f.dimension:
         raise DimensionMismatch("matrix and flag dimensions differ")
-    am = matrix(a.entries)
-    return FlagOrdering(exactlin.mat_mul(f.rows, am))
+    return _trusted_flag(exactlin.mat_mul(f.rows, matrix(a.entries)))
 
 
 def _ball_vectors(n: int, radius: int):
@@ -187,8 +167,7 @@ def complete_flag(first_row) -> FlagOrdering:
     The basis rows follow in index order, leaving out the one at the first
     row's last nonzero index: that is the only basis row already in the span
     of the first row and the basis rows before it.  The determinant is then
-    plus or minus that nonzero entry, so the flag is built without
-    FlagOrdering's rank check, as ``words._trusted`` builds words unreduced.
+    plus or minus that nonzero entry, so the flag is trusted.
     """
     first = vector(first_row)
     skip = max((i for i, x in enumerate(first) if x != 0), default=None)
@@ -201,7 +180,8 @@ def complete_flag(first_row) -> FlagOrdering:
 
 
 def _trusted_flag(rows: Matrix) -> FlagOrdering:
-    """A square Fraction matrix the library built full rank; checks nothing."""
+    """A square Fraction matrix the library built full rank, never rows parsed
+    from input (as ``words._trusted``); checks nothing."""
     flag = object.__new__(FlagOrdering)
     object.__setattr__(flag, "rows", rows)
     object.__setattr__(flag, "_int_rows", tuple(clear_denominators(r) for r in rows))
@@ -243,7 +223,7 @@ def gl_witness(a: IntegerAutomorphism) -> tuple[FlagOrdering, tuple[int, ...]]:
     # a lower unitriangular A keeps the first nonzero coordinate of every v
     if not all(a.entries[i][j] == (i == j) for i in range(n) for j in range(i, n)):
         identity = FlagOrdering.identity(n)
-        moved = FlagOrdering(a.entries)  # signs v as the identity flag signs A.v
+        moved = _trusted_flag(matrix(a.entries))  # signs v as the identity flag signs A.v
         for v, _ in zip(_ball_vectors(n, 2), budget):
             if flag_sign(identity, v) != flag_sign(moved, v):
                 return identity, v

@@ -17,12 +17,12 @@ from grouporders import autact, words
 from grouporders.catalog import automorphism_catalog, ia_generators
 from grouporders.errors import (EmptyWord, IdentityAutomorphism, NonAutomorphism,
                                 NotFoundWithinBall)
+from grouporders.exactlin import int_det
 from grouporders.hall import induced_matrix
 from grouporders.stdord import TwistedOrdering, identity_ordering, std_sign
 from grouporders.words import (Automorphism, Endomorphism, ball_words, generator,
                                identity_word, inner_automorphism, parse_endomorphism,
                                parse_word, word)
-from grouporders.znord import _int_det
 
 LEX = identity_ordering(2, 5)
 
@@ -166,7 +166,7 @@ def bounded_inverse(phi, length_bound):
     None where the determinant test or the search within length_bound fails.
     """
     rank = phi.rank
-    if abs(_int_det(induced_matrix(phi, 1))) != 1:
+    if abs(int_det(induced_matrix(phi, 1))) != 1:
         return None
     targets = {generator(rank, i).letters: i for i in range(1, rank + 1)}
     found = {}

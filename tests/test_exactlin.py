@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 
 from grouporders.errors import EmptyInput, InputError, NoSeparator, ZeroVectorInput
 from grouporders.exactlin import (MAX_CONE_SUBSETS, Halfspace, ZeroCombo, _int_row,
-                                  classify_cone, clear_denominators, dot, kernel_basis, matrix,
-                                  rank, scale_to_integers, solve_inequalities, solve_linear,
-                                  strict_separator, vector)
+                                  classify_cone, clear_denominators, dot, int_det,
+                                  kernel_basis, matrix, rank, scale_to_integers,
+                                  solve_inequalities, solve_linear, strict_separator, vector)
 
 
 def test_kernel_of_identity_is_empty():
@@ -284,3 +284,37 @@ def test_integer_multiples_of_rational_vectors(v):
     multiple = next((Fraction(c) / x for c, x in zip(cleared, v) if x), Fraction(1))
     assert multiple > 0 and all(multiple * x == c for x, c in zip(v, cleared))
     assert scale_to_integers(v) == _primitive_multiple(v)
+
+
+def _leibniz_det(rows):
+    """Reference: the signed sum over permutations, each sign by counting inversions."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[k] for i in range(n) for k in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+@st.composite
+def square_integer_matrices(draw):
+    """n <= 4, mostly small entries so that pivots vanish and rows swap; in about
+    half, one row is an integer multiple of a row (a zero row for multiple 0)."""
+    n = draw(st.integers(0, 4))
+    entries = st.one_of(st.integers(-2, 2), st.integers(-10 ** 6, 10 ** 6))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i] = [draw(st.integers(-3, 3)) * x for x in rows[k]]
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_integer_matrices())
+@example([[0, 1], [1, 0]])
+@example([[0, 0, 1], [0, 2, 0], [3, 0, 0]])
+@example([[2, 4], [1, 2]])
+def test_int_det_matches_the_leibniz_formula(rows):
+    det = int_det(rows)
+    assert type(det) is int
+    assert det == _leibniz_det(rows)

@@ -387,18 +387,26 @@ RETAINED = textwrap.dedent("""
     import tracemalloc
     from grouporders import hall
     tracemalloc.start()
-    hall._triangle(3, 8)
-    hall._triangle(2, 12)
-    print(tracemalloc.get_traced_memory()[0])
+    peaks = []
+    for rank, weight in ((3, 8), (2, 12)):
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        hall._triangle(rank, weight)
+        peaks.append(tracemalloc.get_traced_memory()[1] - held)
+    print(tracemalloc.get_traced_memory()[0], max(peaks))
 """)
 
 
 def test_triangles_retain_little_beyond_themselves():
     """The two largest triangles the coordinate paths build at ranks 2 and 3
-    keep about 1.8 MB; a process-wide cache of their bracket expansions keeps 25 MB."""
+    keep about 1.8 MB; a process-wide cache of their bracket expansions keeps 25 MB.
+    Each peaks at about 2 and 3 MB above what was held before it; holding the
+    whole top layer of images took 5.2 and 7.4 MB."""
     path = [str(Path(grouporders.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in path if p)}
     result = subprocess.run([sys.executable, "-c", RETAINED], env=env,
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 0, result.stderr
-    assert int(result.stdout) < 4 * 2 ** 20
+    retained, peak = map(int, result.stdout.split())
+    assert retained < 4 * 2 ** 20
+    assert peak < 4 * 2 ** 20

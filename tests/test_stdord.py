@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import os
 import random
@@ -13,13 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grouporders
-from grouporders import exactlin, hall, stdord
+from grouporders import exactlin, hall, stdord, znord
 from grouporders.autact import common_power
 from grouporders.errors import (CommonRoot, DepthCapExceeded, DepthExceedsCap,
                                 DimensionMismatch, EmptyWord, GroupOrderError, InputError,
                                 ParseError)
 from grouporders.exactlin import dot, kernel_basis, vector
-from grouporders.hall import decompose_lie, layer_rank, leading_coords, monomials
+from grouporders.hall import decompose_lie, layer_rank, leading_coords
 from grouporders.report import random_standard_ordering
 from grouporders.series import magnus
 from grouporders.stdord import (AxiomReport, StandardOrdering, TwistedOrdering, ball_distance,
@@ -181,6 +182,18 @@ def test_identity_levels_cache_is_bounded():
         for cap in (1, 2):
             identity_levels(rank, cap)
     assert identity_levels.cache_info().currsize <= maxsize
+
+
+def test_identity_levels_run_no_elimination(monkeypatch):
+    # identity flags are full rank by construction: neither rref nor int_det runs
+    def refuse(*args):
+        raise AssertionError("an identity flag was checked")
+
+    monkeypatch.setattr(exactlin, "rref", refuse)
+    monkeypatch.setattr(znord, "int_det", refuse)
+    levels = identity_levels.__wrapped__(3, 6)
+    assert [f.rows for f in levels] == [
+        tuple(map(vector, hall.identity_matrix(layer_rank(3, i)))) for i in range(1, 7)]
 
 
 def test_radius_below_one_is_an_input_error():
@@ -368,7 +381,7 @@ TWIST_CASES = [(r, d, u0, j) for r, d in itertools.product((2, 3), (1, 2))
 @pytest.mark.parametrize("r,d,u0,j", TWIST_CASES, ids=[
     f"F{r}-d{d}-u{','.join(map(str, u0))}-j{j}" for r, d, u0, j in TWIST_CASES])
 def test_twist_constraints_span_the_composition_reference(r, d, u0, j, monkeypatch):
-    mons = monomials(r, j)
+    mons = tuple(itertools.product(range(1, r + 1), repeat=j))
 
     def rows(constraints):
         return [tuple(c.get(m, Fraction(0)) for m in mons) for c in constraints]
@@ -394,6 +407,39 @@ def test_twist_constraints_span_the_composition_reference(r, d, u0, j, monkeypat
 
     closed_form = stdord._twist_constraints
     assert twists(closed_form) == twists(_composition_twist_constraints)
+
+
+# sha256 of build_twisted's psi and alpha, or its refusal, on the twist cases pinned
+# below; a change is explained in CHANGES.md
+TWIST_DIGEST = "41f3d2034e6aeb1819f5a7fab94c7ae1304cdd123956857c6d0128431dd5b9f2"
+
+
+def _pinned_twist(*args) -> str:
+    try:
+        o = stdord.build_twisted(*args)
+        return repr((o.psi, o.alpha))
+    except GroupOrderError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_twists_on_the_twist_cases_are_pinned():
+    """Brackets of degree j and seeded words' degree-j parts as z, some inside
+    the constraint span, against each pivot of TWIST_CASES."""
+    rng = random.Random(25)
+    lines = []
+    for r, d, u0, j in TWIST_CASES:
+        mu_j_pivot = magnus(stdord._word_with_coords(r, d, u0), j).graded_part(j)
+        words = [hall.bracket_word(r, b) for b in hall.basis_layer(r, j)[:4]]
+        for _ in range(4):
+            short = [word(r, [rng.choice((-1, 1)) * rng.randint(1, r)
+                              for _ in range(rng.randint(1, 3))]) for _ in range(2)]
+            words.append(rng.choice((short[0] ** j, commutator(*short))))
+        for w in words:
+            z_part = magnus(w, j).graded_part(j)
+            sigma = Fraction(rng.randint(1, 5), rng.randint(1, 3))
+            lines.append(f"{r} {d} {u0} {j} {sorted(z_part.items())} {sigma} "
+                         + _pinned_twist(r, 5, d, u0, j, z_part, mu_j_pivot, sigma))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == TWIST_DIGEST
 
 
 def _unmemoized_axioms(ordering, radius):

@@ -1,11 +1,15 @@
+import hashlib
+import itertools
+import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grouporders import exactlin
-from grouporders.errors import DimensionMismatch, IsIdentity, NoCone
+from grouporders import exactlin, znord
+from grouporders.errors import DimensionMismatch, GroupOrderError, IsIdentity, NoCone
 from grouporders.znord import (FlagOrdering, IntegerAutomorphism, _ball_vectors, act,
                                complete_flag, flag_sign, gl_witness, opposite,
                                positive_ratio, realize_flag)
@@ -260,7 +264,129 @@ def test_flag_sign_matches_exact_matrix_vector_product(data):
     assert flag_sign(FlagOrdering(rows), v) == _first_nonzero_image_sign(rows, v)
 
 
+@st.composite
+def _unimodular_matrices(draw):
+    """n <= 4: the identity under a few row additions, swaps and negations."""
+    n = draw(st.integers(1, 4))
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, k = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        c = draw(st.integers(-2, 2))
+        if i != k and c:
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[k])]
+        elif i != k:
+            rows[i], rows[k] = rows[k], rows[i]
+        else:
+            rows[i] = [-a for a in rows[i]]
+    return IntegerAutomorphism(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unimodular_matrices(), st.data())
+def test_trusted_flags_match_the_checked_flags_of_their_rows(a, data):
+    # identity, opposite, act and gl_witness build their flags without the check
+    n = a.dimension
+    rows = data.draw(st.lists(st.lists(small_rationals, min_size=n, max_size=n),
+                              min_size=n, max_size=n))
+    assume(exactlin.rank(rows) == n)
+    f = FlagOrdering(rows)
+    built, trusted = [], znord._trusted_flag
+
+    def recording(rows):
+        built.append(trusted(rows))
+        return built[-1]
+
+    with patch.object(znord, "_trusted_flag", recording):
+        flags = [FlagOrdering.identity(n), opposite(f), act(a, f)]
+        if not a.is_identity():
+            gl_witness(a)
+    assert built[:3] == flags
+    for flag in built:
+        checked = FlagOrdering(flag.rows)
+        assert flag.rows == checked.rows and flag._int_rows == checked._int_rows
+        assert flag == checked and flag.to_json() == checked.to_json()
+
+
+def test_identity_flag_refuses_dimension_zero():
+    for n in (0, -1):
+        with pytest.raises(DimensionMismatch, match="square and nonempty"):
+            FlagOrdering.identity(n)
+
+
 def test_flag_sign_dimension_mismatch():
     for v in ((1, 2, 3), (Fraction(1, 2),), ("1/2", "0", "1")):
         with pytest.raises(DimensionMismatch):
             flag_sign(I2, v)
+
+
+# sha256 of the outcomes pinned below; a change to any is explained in CHANGES.md
+AUTOMORPHISM_DIGEST = "d832d451e8badb1a4a7a707fbf8588361f065d32ad23bf52c6dd0846301de4fc"
+GL_WITNESS_DIGEST = "ce2a698fdd7f2c6a1ca8fd7440633d06ada4ea47429dfa540a0c0cfe3c2dfd53"
+FLAG_DIGEST = "81c050a482e23cc0625352573c4336ae5c8cda058f22747408053ed8ca5a21fb"
+
+
+def _pinned(f, *args) -> str:
+    try:
+        return repr(f(*args))
+    except GroupOrderError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _digest(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def _small_matrices():
+    """All 625 2 x 2 matrices with entries -2..2, then all 19683 3 x 3 with entries -1..1."""
+    for n, entries in ((2, range(-2, 3)), (3, range(-1, 2))):
+        for flat in itertools.product(entries, repeat=n * n):
+            yield tuple(flat[i:i + n] for i in range(0, n * n, n))
+
+
+def test_automorphism_checks_on_small_matrices_are_pinned():
+    lines = [f"{m} {_pinned(lambda: IntegerAutomorphism(m).dimension)}"
+             for m in _small_matrices()]
+    assert _digest(lines) == AUTOMORPHISM_DIGEST
+
+
+def test_gl_witnesses_of_small_unimodular_matrices_are_pinned():
+    lines = []
+    for m in _small_matrices():
+        try:
+            a = IntegerAutomorphism(m)
+        except DimensionMismatch:
+            continue
+        if not a.is_identity():
+            lines.append(f"{m} {_pinned(gl_witness, a)}")
+    assert len(lines) == 7062
+    assert _digest(lines) == GL_WITNESS_DIGEST
+
+
+def _seeded_flag_rows(rng: random.Random) -> list:
+    """A rational matrix with n <= 6 rows: square and about half of them singular
+    (a zero row, or a row combining others), or ragged, or one column too wide."""
+    n = rng.randint(1, 6)
+    rows = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+            for _ in range(n)]
+    kind = rng.choice(("full", "full", "zero row", "combination", "combination", "shape"))
+    i = rng.randrange(n)
+    if kind == "zero row":
+        rows[i] = [Fraction(0)] * n
+    elif kind == "combination":
+        others = rng.sample([r for k, r in enumerate(rows) if k != i], min(n - 1, 2))
+        weights = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in others]
+        rows[i] = [sum((c * r[k] for c, r in zip(weights, others)), Fraction(0))
+                   for k in range(n)]
+    elif kind == "shape":
+        for r in rows if rng.random() < 0.5 else rows[i:i + 1]:
+            r.append(Fraction(1))
+    return rows
+
+
+def test_flag_checks_on_seeded_rational_matrices_are_pinned():
+    rng = random.Random(25)
+    lines = []
+    for _ in range(600):
+        rows = _seeded_flag_rows(rng)
+        lines.append(f"{rows} {_pinned(lambda: (f := FlagOrdering(rows)).rows + f._int_rows)}")
+    assert _digest(lines) == FLAG_DIGEST
