@@ -21,8 +21,7 @@ from dataclasses import dataclass
 from .errors import (CertificateError, DepthCapExceeded, IdentityAutomorphism,
                      NonAutomorphism, NotFoundWithinBall)
 from .hall import identity_matrix, induced_matrix
-from .stdord import (Ordering, StandardOrdering, identity_levels, separate,
-                     std_sign)
+from .stdord import Ordering, StandardOrdering, identity_levels, separate
 # RootDecomposition and primitive_root are re-exported for callers of autact
 from .words import (Automorphism, Endomorphism, RootDecomposition, Word, ball_words,
                     common_power, generator, primitive_root)
@@ -99,8 +98,8 @@ class OrderingWitness:
     mapping: Endomorphism
 
     def __post_init__(self):
-        before = std_sign(self.ordering, self.word)
-        after = std_sign(self.ordering, self.mapping.apply(self.word))
+        before = self.ordering.sign(self.word)
+        after = self.ordering.sign(self.mapping.apply(self.word))
         if (self.sign_before, self.sign_after) != (before, after) or before == after:
             raise CertificateError(f"signs of {self.word} under {self.mapping} do not check")
 
@@ -116,7 +115,7 @@ class OrderingWitness:
 
 def pulled_sign(phi, ordering: Ordering, w: Word) -> int:
     """Sign of w in the ordering pulled back through phi."""
-    return std_sign(ordering, _as_endomorphism(phi).apply(w))
+    return ordering.sign(_as_endomorphism(phi).apply(w))
 
 
 def ordering_witness(phi, cap: int = 5) -> OrderingWitness:
@@ -139,8 +138,8 @@ def ordering_witness(phi, cap: int = 5) -> OrderingWitness:
         for i, e in enumerate(v, start=1):
             w = w * generator(rank, i, e)
         ordering = StandardOrdering(rank, cap, (flag,) + levels[1:])
-        return OrderingWitness(ordering, w, std_sign(ordering, w),
-                               std_sign(ordering, endo.apply(w)), endo)
+        return OrderingWitness(ordering, w, ordering.sign(w),
+                               ordering.sign(endo.apply(w)), endo)
     failure: Exception | None = None
     for g in ball_words(rank, WITNESS_RADIUS):
         image = endo.apply(g)

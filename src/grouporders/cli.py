@@ -24,7 +24,7 @@ from .klein import (KleinOrdering, k_enumerate_orderings, k_mul, k_out_table, k_
                     parse_klein, parse_klein_aut)
 from .series import lcs_depth, magnus
 from .stdord import (ball_distance, compare, identity_ordering, ordering_from_json,
-                     separate, std_sign, verify_cone_axioms)
+                     separate, verify_cone_axioms)
 from .words import parse_endomorphism, parse_word
 from .znord import (FlagOrdering, IntegerAutomorphism, act, flag_sign, gl_witness,
                     realize_flag)
@@ -217,7 +217,7 @@ def _run_free(args) -> int:
         _emit(args, {"series": series}, series)
     elif args.command == "sign":
         ordering = _load_ordering(args)
-        value = std_sign(ordering, parse_word(args.word, ordering.rank))
+        value = ordering.sign(parse_word(args.word, ordering.rank))
         _emit(args, {"sign": SIGN_WORDS[value]}, SIGN_WORDS[value])
     elif args.command == "compare":
         ordering = _load_ordering(args)

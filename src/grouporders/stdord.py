@@ -104,6 +104,7 @@ class StandardOrdering:
         _check_levels(self.rank, self.cap, levels)
 
     def sign(self, w: Word) -> int:
+        """+1 or -1; raises DepthExceedsCap for words the cap cannot see."""
         if w.is_identity():
             raise EmptyWord("the identity has no sign")
         depth, coords = leading_coords(w, self.cap)
@@ -182,6 +183,7 @@ class TwistedOrdering:
         object.__setattr__(self, "alpha", Fraction(self.alpha))
 
     def sign(self, w: Word) -> int:
+        """+1 or -1; raises DepthExceedsCap for words the cap cannot see."""
         if w.is_identity():
             raise EmptyWord("the identity has no sign")
         lead = leading_part(w, self.cap)
@@ -251,17 +253,12 @@ def ordering_from_json(data) -> Ordering:
         raise ParseError(f"malformed ordering JSON: {exc!r}") from None
 
 
-def std_sign(ordering: Ordering, w: Word) -> int:
-    """+1 or -1; raises DepthExceedsCap for words the cap cannot see."""
-    return ordering.sign(w)
-
-
 def compare(ordering: Ordering, g: Word, h: Word) -> int:
     """-1, 0, +1 for g < h, g = h, g > h."""
     q = g.inverse() * h
     if q.is_identity():
         return 0
-    return -std_sign(ordering, q)
+    return -ordering.sign(q)
 
 
 def pullback(quotient_levels: Sequence[FlagOrdering],

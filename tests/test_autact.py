@@ -19,7 +19,7 @@ from grouporders.errors import (EmptyWord, IdentityAutomorphism, NonAutomorphism
                                 NotFoundWithinBall)
 from grouporders.exactlin import int_det
 from grouporders.hall import induced_matrix
-from grouporders.stdord import TwistedOrdering, identity_ordering, std_sign
+from grouporders.stdord import TwistedOrdering, identity_ordering
 from grouporders.words import (Automorphism, Endomorphism, ball_words, generator,
                                identity_word, inner_automorphism, parse_endomorphism,
                                parse_word, word)
@@ -83,12 +83,12 @@ def test_pulled_sign_identity_and_law():
     phi = parse_endomorphism("x1 -> x1 x2", 2)
     psi = parse_endomorphism("x1 -> x2 ; x2 -> x1", 2)
     w = parse_word("x1", 2)
-    assert pulled_sign(Endomorphism.identity(2), LEX, w) == std_sign(LEX, w)
-    assert pulled_sign(phi, LEX, w) == std_sign(LEX, parse_word("x1 x2", 2)) == 1
+    assert pulled_sign(Endomorphism.identity(2), LEX, w) == LEX.sign(w)
+    assert pulled_sign(phi, LEX, w) == LEX.sign(parse_word("x1 x2", 2)) == 1
     for ls in [(1,), (2, -1), (1, 2, 1)]:
         v = word(2, ls)
         assert pulled_sign(phi.compose(psi), LEX, v) == \
-            std_sign(LEX, phi.apply(psi.apply(v)))
+            LEX.sign(phi.apply(psi.apply(v)))
 
 
 def test_witness_transvection_stays_on_level_one():
@@ -130,9 +130,9 @@ def test_verify_automorphism_finds_inverse():
 def test_witness_catalog_is_self_verifying():
     for name, phi in automorphism_catalog():
         witness = ordering_witness(phi)
-        assert witness.sign_before == std_sign(witness.ordering, witness.word), name
-        assert witness.sign_after == std_sign(
-            witness.ordering, phi.apply(witness.word)), name
+        assert witness.sign_before == witness.ordering.sign(witness.word), name
+        assert witness.sign_after == witness.ordering.sign(
+            phi.apply(witness.word)), name
 
 
 def test_witness_json_shape():

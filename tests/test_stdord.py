@@ -25,7 +25,7 @@ from grouporders.report import random_standard_ordering
 from grouporders.series import magnus
 from grouporders.stdord import (AxiomReport, StandardOrdering, TwistedOrdering, ball_distance,
                                 compare, identity_levels, identity_ordering,
-                                ordering_from_json, pullback, separate, std_sign,
+                                ordering_from_json, pullback, separate,
                                 verify_cone_axioms)
 from grouporders.words import (MAX_BALL_WORDS, ball_size, ball_words, commutator, generator,
                                parse_word, word)
@@ -34,18 +34,18 @@ from grouporders.znord import flag_sign, opposite, positive_ratio
 LEX = identity_ordering(2, 5)
 
 
-def test_std_sign_examples():
-    assert std_sign(LEX, parse_word("x1", 2)) == 1
-    assert std_sign(LEX, parse_word("x1^-1 x2", 2)) == -1
-    assert std_sign(LEX, parse_word("x1 x2 x1^-1 x2^-1", 2)) == 1
+def test_sign_examples():
+    assert LEX.sign(parse_word("x1", 2)) == 1
+    assert LEX.sign(parse_word("x1^-1 x2", 2)) == -1
+    assert LEX.sign(parse_word("x1 x2 x1^-1 x2^-1", 2)) == 1
 
 
-def test_std_sign_rejects_identity_and_deep_words():
+def test_sign_rejects_identity_and_deep_words():
     with pytest.raises(EmptyWord):
-        std_sign(LEX, parse_word("1", 2))
+        LEX.sign(parse_word("1", 2))
     shallow = identity_ordering(2, 1)
     with pytest.raises(DepthExceedsCap):
-        std_sign(shallow, parse_word("x1 x2 x1^-1 x2^-1", 2))
+        shallow.sign(parse_word("x1 x2 x1^-1 x2^-1", 2))
 
 
 def test_compare():
