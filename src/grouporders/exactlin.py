@@ -59,20 +59,6 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((Fraction(a) * Fraction(b) for a, b in zip(u, v)), Fraction(0))
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    bt = tuple(zip(*b))
-    return tuple(tuple(dot(row, col) for col in bt) for row in a)
-
-
-def is_zero_vector(v: Sequence) -> bool:
-    return all(x == 0 for x in v)
-
-
-def clear_denominators(v: Vector) -> tuple[int, ...]:
-    """``v`` times the lcm of its denominators: a positive integer multiple."""
-    return _int_row(v)[0]
-
-
 def _int_row(v: Vector) -> tuple[tuple[int, ...], int]:
     """The constraint ``v . x >= 1`` times the lcm L of v's denominators: (L v, L)."""
     lcm = math.lcm(*(x.denominator for x in v))
@@ -81,7 +67,7 @@ def _int_row(v: Vector) -> tuple[tuple[int, ...], int]:
 
 def scale_to_integers(v: Sequence[Fraction]) -> tuple[int, ...]:
     """Smallest positive multiple of ``v`` with integer entries and gcd 1."""
-    ints = clear_denominators(vector(v))
+    ints = _int_row(vector(v))[0]
     g = math.gcd(*ints) or 1  # 0 only for the zero vector
     return tuple(x // g for x in ints)
 
@@ -180,11 +166,10 @@ class Halfspace:
 
     functional: Vector
 
-    def strict_for(self, vectors: Sequence[Vector]) -> bool:
-        """Integer dot products: positive multiples of f and v keep every sign."""
-        f = clear_denominators(self.functional)
-        return all(len(v) == len(f) and sum(map(mul, f, clear_denominators(v))) > 0
-                   for v in vectors)
+    def strict_for(self, vectors: Sequence[Sequence]) -> bool:
+        """Dot products with f's integer multiple, all ``int`` on the cone callers' rows."""
+        f = _int_row(self.functional)[0]
+        return all(len(v) == len(f) and sum(map(mul, f, v)) > 0 for v in vectors)
 
 
 @dataclass(frozen=True)
@@ -203,30 +188,34 @@ class ZeroCombo:
         for c, v in zip(self.coefficients, vectors):
             for i in range(n):
                 total[i] += c * v[i]
-        return is_zero_vector(total)
+        return not any(total)
 
 
 ConeCertificate = Halfspace | ZeroCombo
 
 
-def _validate_cone_input(vs: Sequence) -> tuple[Vector, ...]:
-    vs = tuple(vector(v) for v in vs)
-    if not vs:
+def _cone_rows(vs: Sequence) -> list[tuple[tuple[int, ...], int]]:
+    """Each cone vector v parsed once into the integer row (L v, L) of the
+    constraint ``v . x >= 1``, L the lcm of v's denominators: an all-``int``
+    v is (v, 1), and only other entries go through ``Fraction``."""
+    rows = [(v, 1) if all(type(x) is int for x in v) else _int_row(vector(v))
+            for v in map(tuple, vs)]
+    if not rows:
         raise EmptyInput("classify_cone needs at least one vector")
-    n = len(vs[0])
-    for v in vs:
-        if len(v) != n:
+    n = len(rows[0][0])
+    for row, _ in rows:
+        if len(row) != n:
             raise DimensionMismatch("cone vectors must share a dimension")
-        if is_zero_vector(v):
+        if not any(row):
             raise ZeroVectorInput("cone vectors must be nonzero")
-    return vs
+    return rows
 
 
-def _check_cone_size(vs: Sequence[Vector]) -> None:
+def _check_cone_size(rows: Sequence) -> None:
     """Refuse, before any work, a set with more than MAX_CONE_SUBSETS subsets
     of size 2 to n + 1: the zero-combination scan lists them, and each
     Fourier-Motzkin row past the inputs is keyed by one of them."""
-    m, n = len(vs), len(vs[0])
+    m, n = len(rows), len(rows[0][0])
     count = 0
     for size in range(2, min(m, n + 1) + 1):
         count += math.comb(m, size)
@@ -281,9 +270,11 @@ def solve_inequalities(constraints: list[tuple[Sequence, int | Fraction]],
     order from the bounds recorded at elimination, taking the max lower bound
     (else min upper bound, else zero): deterministic and seed-free.
 
-    Integer rows are accepted, and the cone callers pass them: a row times a
-    positive integer leaves every projection and bound, hence the point,
-    unchanged, so only back-substitution divides, as ``Fraction``.
+    A row times a positive number leaves every projection and bound, hence
+    the point, unchanged, so the cone callers pass integer rows and the whole
+    solve stays in ``int``: back-substitution holds the values found as
+    numerators over one positive common denominator and compares candidate
+    bounds by cross-multiplication.  Only the returned point is ``Fraction``.
     """
     system = {1 << i: row for i, row in enumerate(constraints)}
     bounds = []  # (lowers, uppers) of each variable, last index first
@@ -304,12 +295,18 @@ def solve_inequalities(constraints: list[tuple[Sequence, int | Fraction]],
         bounds.append((lowers, uppers))
     if any(b > 0 for _, b in system.values()):
         return None
-    values: list[Fraction] = []
+    nums, den = [], 1  # the values so far are nums[i] / den, den > 0
     for var, (lowers, uppers) in enumerate(reversed(bounds)):
-        found = [Fraction(b - sum(map(mul, coeffs, values)), coeffs[var])  # never int / int
-                 for coeffs, b in (lowers or uppers).values()]
-        values.append(max(found) if lowers else min(found) if uppers else Fraction(0))
-    return tuple(values)
+        p, q = 0, 1  # the value p / (q den); zero with no bound
+        for k, (coeffs, b) in enumerate((lowers or uppers).values()):
+            bp, bq = b * den - sum(map(mul, coeffs, nums)), coeffs[var]
+            # one variable's bounds share the sign of bq: bp / bq > p / q iff bp q > p bq
+            if not k or (bp * q > p * bq if lowers else bp * q < p * bq):
+                p, q = bp, bq
+        if q < 0:
+            p, q = -p, -q
+        nums, den = [x * q for x in nums] + [p], den * q
+    return tuple(Fraction(x, den) for x in nums)
 
 
 def classify_cone(vs: Sequence) -> ConeCertificate:
@@ -318,18 +315,18 @@ def classify_cone(vs: Sequence) -> ConeCertificate:
     Returns a verified ``ZeroCombo`` when one exists, otherwise a verified
     strict ``Halfspace``.  One of the two always exists.
     """
-    vs = _validate_cone_input(vs)
-    _check_cone_size(vs)
-    combo = _find_zero_combo(vs)
+    rows = _cone_rows(vs)
+    _check_cone_size(rows)
+    # the scan reads the vectors as given: ZeroCombo's coefficients refer to them
+    combo = _find_zero_combo(tuple(map(vector, vs)))
     if combo is not None:
         return combo
-    rows = [_int_row(v) for v in vs]
-    f = solve_inequalities(rows, len(vs[0]))
+    f = solve_inequalities(rows, len(rows[0][0]))
     if f is None:
         raise CertificateError("no zero combination and no strict functional")
     cert = Halfspace(f)
     if not cert.strict_for([row for row, _ in rows]):
-        raise CertificateError(f"{cert} is not strictly positive on {vs}")
+        raise CertificateError(f"{cert} is not strictly positive on {rows}")
     return cert
 
 
@@ -340,17 +337,16 @@ def strict_separator(pos: Sequence, neg: Sequence) -> Vector:
     separated; the first functional under the deterministic elimination
     order is returned otherwise.
     """
-    pos = _validate_cone_input(pos)
-    neg = _validate_cone_input(neg)
-    n = len(pos[0])
-    if len(neg[0]) != n:
+    pos_rows, neg_rows = _cone_rows(pos), _cone_rows(neg)
+    n = len(pos_rows[0][0])
+    if len(neg_rows[0][0]) != n:
         raise DimensionMismatch("pos and neg must share a dimension")
-    vs = pos + tuple(tuple(-x for x in q) for q in neg)
-    _check_cone_size(vs)
-    rows = [_int_row(v) for v in vs]
+    rows = pos_rows + [(tuple(-x for x in row), lcm) for row, lcm in neg_rows]
+    _check_cone_size(rows)
     f = solve_inequalities(rows, n)
     if f is None:
-        raise NoSeparator(f"no functional strictly separates {pos} from {neg}")
+        raise NoSeparator(f"no functional strictly separates {tuple(map(vector, pos))} "
+                          f"from {tuple(map(vector, neg))}")
     if not Halfspace(f).strict_for([row for row, _ in rows]):
-        raise CertificateError(f"functional {f} does not strictly separate {pos} from {neg}")
+        raise CertificateError(f"functional {f} does not strictly separate the rows {rows}")
     return f

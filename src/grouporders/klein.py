@@ -72,11 +72,6 @@ def k_mul(p: KleinElement, q: KleinElement) -> KleinElement:
     return p * q
 
 
-def abelianized(p: KleinElement) -> tuple[int, int]:
-    """Image in Z x Z/2; inner automorphisms act trivially there."""
-    return (p.a, p.b % 2)
-
-
 @dataclass(frozen=True)
 class KleinOrdering:
     """Positive cone {a > 0} or {a = 0, b > 0} up to the two sign choices."""

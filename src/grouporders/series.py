@@ -50,14 +50,6 @@ class TruncatedSeries:
     def is_one(self) -> bool:
         return self.coeffs == {(): 1}
 
-    def graded_part(self, degree: int) -> dict[Monomial, int]:
-        return {m: c for m, c in self.coeffs.items() if len(m) == degree}
-
-    def min_degree(self) -> int | None:
-        """Lowest degree >= 1 carrying a nonzero coefficient, else None."""
-        degrees = [len(m) for m in self.coeffs if m]
-        return min(degrees) if degrees else None
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -89,10 +81,6 @@ def concat(a: Mapping[Monomial, int], b: Mapping[Monomial, int],
             if cap is None or len(m1) + len(m2) <= cap:
                 out[m1 + m2] = out.get(m1 + m2, 0) + c1 * c2
     return {m: c for m, c in out.items() if c != 0}
-
-
-def one(rank: int, cap: int) -> TruncatedSeries:
-    return TruncatedSeries(rank, cap, {(): 1})
 
 
 def _check_terms(w: Word, cap: int) -> None:
@@ -162,7 +150,7 @@ def magnus(w: Word, cap: int) -> TruncatedSeries:
 
 
 def magnus_part(w: Word, degree: int) -> dict[Monomial, int]:
-    """The degree part of mu(w): magnus(w, degree).graded_part(degree), decoded alone."""
+    """The degree part of mu(w), the only one decoded; magnus decodes them all."""
     return _decode(w.rank, degree, _expand(w, degree)[degree])
 
 

@@ -44,8 +44,8 @@ from .errors import (CertificateError, CommonRoot, DepthCapExceeded, DepthExceed
 from .exactlin import strict_separator
 from .hall import decompose_lie, layer_rank, leading_coords
 from .series import Monomial, concat, leading_part, magnus_part
-from .words import (MAX_BALL_WORDS, Word, _trusted, ball_size, ball_words, common_root,
-                    identity_word, reduced_product)
+from .words import (MAX_BALL_WORDS, MAX_WORD_LETTERS, Word, _trusted, ball_size,
+                    ball_words, common_root, identity_word, reduced_product)
 from .znord import (FlagOrdering, _int_sign, complete_flag, flag_sign,
                     opposite as flag_opposite, positive_ratio)
 
@@ -148,8 +148,8 @@ class TwistedOrdering:
 
     ``pivot_coords`` is a primitive integer vector U on level ``pivot_level``;
     ``psi`` maps degree-``twist_degree`` monomials to rationals and must
-    satisfy the orthogonality constraints described in the module docstring
-    (the constructor does not re-derive them; use :func:`build_twisted`).
+    satisfy the orthogonality constraints described in the module docstring;
+    ``from_json`` re-derives them, the constructor does not (use :func:`build_twisted`).
 
     A sign reads depth and leading part as :class:`StandardOrdering` does.
     With i the first nonzero index of U and c the pivot-level coordinates,
@@ -170,12 +170,13 @@ class TwistedOrdering:
         _check_levels(self.rank, self.cap, tuple(self.levels))
         _check_int("pivot_level", self.pivot_level)
         _check_int("twist_degree", self.twist_degree)
-        if not 1 <= self.pivot_level < self.twist_degree <= self.cap:
-            raise DimensionMismatch("need 1 <= pivot level < twist degree <= cap")
+        d, j = self.pivot_level, self.twist_degree
+        if not 1 <= d < j <= min(self.cap, 2 * d + 1):  # _twist_constraints stops at 2d + 1
+            raise DimensionMismatch("need 1 <= pivot level d < twist degree <= min(cap, 2d + 1)")
         u = tuple(self.pivot_coords)
         for x in u:
             _check_int("a pivot coordinate", x)
-        if len(u) != layer_rank(self.rank, self.pivot_level) or all(x == 0 for x in u):
+        if len(u) != layer_rank(self.rank, d) or all(x == 0 for x in u):
             raise DimensionMismatch("pivot coordinates must be a nonzero level vector")
         object.__setattr__(self, "pivot_coords", u)
         object.__setattr__(self, "psi", tuple((tuple(m), Fraction(c))
@@ -227,7 +228,7 @@ class TwistedOrdering:
 
     @classmethod
     def from_json(cls, data) -> "TwistedOrdering":
-        return cls(
+        o = cls(
             rank=data["rank"], cap=data["class"],
             pivot_level=data["pivot_level"],
             pivot_coords=tuple(data["pivot_coords"]),
@@ -236,6 +237,12 @@ class TwistedOrdering:
             alpha=Fraction(data["alpha"]),
             levels=tuple(FlagOrdering.from_json(f) for f in data["levels"]),
         )
+        for constraint in _twist_constraints(o.rank, o.pivot_level, o.pivot_coords,
+                                             o.twist_degree):
+            if sum(x * constraint.get(m, 0) for m, x in o.psi):  # as sign reads psi
+                raise InputError("psi does not annihilate the twist constraints, so "
+                                 "the twist row is not additive")
+        return o
 
 
 Ordering = StandardOrdering | TwistedOrdering
@@ -398,10 +405,16 @@ def ball_distance(o1: Ordering, o2: Ordering, r_max: int) -> int:
 
 
 def _word_with_coords(rank: int, level: int, coords: Sequence[int]) -> Word:
+    """The level's basic commutators to the powers ``coords``; refused before any
+    power is built past MAX_WORD_LETTERS letters, which JSON pivot coordinates reach."""
+    factors = [(hall.bracket_word(rank, b), c)
+               for b, c in zip(hall.basis_layer(rank, level), coords) if c]
+    if sum(len(f) * abs(c) for f, c in factors) > MAX_WORD_LETTERS:
+        raise InputError(f"the word with level-{level} coordinates {tuple(coords)} is "
+                         f"longer than {MAX_WORD_LETTERS} letters")
     w = identity_word(rank)
-    for b, c in zip(hall.basis_layer(rank, level), coords):
-        if c:
-            w = w * hall.bracket_word(rank, b) ** c
+    for f, c in factors:
+        w = w * f ** c
     return w
 
 

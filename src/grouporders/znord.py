@@ -17,7 +17,7 @@ from operator import mul
 
 from . import exactlin
 from .errors import CertificateError, DimensionMismatch, InputError, IsIdentity, NoCone
-from .exactlin import Matrix, classify_cone, clear_denominators, int_det, matrix, vector
+from .exactlin import Matrix, _int_row, classify_cone, int_det, matrix, vector
 
 MAX_WITNESS_VECTORS = 2 * (5 ** 5 - 1)  # gl_witness's two scans in all; enough for n <= 5
 
@@ -36,7 +36,7 @@ class FlagOrdering:
         object.__setattr__(self, "rows", rows)
         if not rows or len(rows[0]) != len(rows):  # matrix() made the rows equally long
             raise DimensionMismatch("flag matrix must be square and nonempty")
-        object.__setattr__(self, "_int_rows", tuple(clear_denominators(r) for r in rows))
+        object.__setattr__(self, "_int_rows", tuple(_int_row(r)[0] for r in rows))
         if int_det(self._int_rows) == 0:
             raise DimensionMismatch("flag matrix must have full rank")
 
@@ -126,7 +126,7 @@ def flag_sign(f: FlagOrdering, v) -> int:
     """-1, 0 or +1; zero only for the zero vector."""
     v = tuple(v)
     if not all(type(x) is int for x in v):
-        v = clear_denominators(vector(v))
+        v = _int_row(vector(v))[0]
     if len(v) != f.dimension:
         raise DimensionMismatch(
             f"vector of dimension {len(v)} under a flag of dimension {f.dimension}")
@@ -143,14 +143,16 @@ def _int_sign(f: FlagOrdering, v: tuple[int, ...]) -> int:
 
 
 def opposite(f: FlagOrdering) -> FlagOrdering:
-    return _trusted_flag(tuple(tuple(-x for x in row) for row in f.rows))
+    return _trusted_flag(tuple(tuple(-x for x in row) for row in f.rows),
+                         tuple(tuple(-x for x in row) for row in f._int_rows))
 
 
 def act(a: IntegerAutomorphism, f: FlagOrdering) -> FlagOrdering:
     """Pullback ordering: the returned flag signs v the way f signs A.v; det FA = +-det F."""
     if a.dimension != f.dimension:
         raise DimensionMismatch("matrix and flag dimensions differ")
-    return _trusted_flag(exactlin.mat_mul(f.rows, matrix(a.entries)))
+    rows = tuple(tuple(sum(map(mul, row, col)) for col in zip(*a.entries)) for row in f.rows)
+    return _trusted_flag(rows, tuple(_int_row(r)[0] for r in rows))
 
 
 def _ball_vectors(n: int, radius: int):
@@ -169,22 +171,25 @@ def complete_flag(first_row) -> FlagOrdering:
     of the first row and the basis rows before it.  The determinant is then
     plus or minus that nonzero entry, so the flag is trusted.
     """
-    first = vector(first_row)
-    skip = max((i for i, x in enumerate(first) if x != 0), default=None)
+    given = tuple(first_row)
+    first = vector(given)
+    int_first = given if all(type(x) is int for x in given) else _int_row(first)[0]
+    skip = max((i for i, x in enumerate(int_first) if x), default=None)
     if skip is None:
         raise DimensionMismatch("the first row of a flag must be nonzero")
     n = len(first)
-    basis = (tuple(Fraction(1 if j == i else 0) for j in range(n))
-             for i in range(n) if i != skip)
-    return _trusted_flag((first, *basis))
+    units = [tuple(int(j == i) for j in range(n)) for i in range(n) if i != skip]
+    zero_one = (Fraction(0), Fraction(1))  # shared by every basis row
+    return _trusted_flag((first, *(tuple(zero_one[x] for x in u) for u in units)),
+                         (int_first, *units))
 
 
-def _trusted_flag(rows: Matrix) -> FlagOrdering:
-    """A square Fraction matrix the library built full rank, never rows parsed
-    from input (as ``words._trusted``); checks nothing."""
+def _trusted_flag(rows: Matrix, int_rows: tuple[tuple[int, ...], ...]) -> FlagOrdering:
+    """A square Fraction matrix the library built full rank, never rows parsed from
+    input (as ``words._trusted``), and its integer rows as cached; checks nothing."""
     flag = object.__new__(FlagOrdering)
     object.__setattr__(flag, "rows", rows)
-    object.__setattr__(flag, "_int_rows", tuple(clear_denominators(r) for r in rows))
+    object.__setattr__(flag, "_int_rows", int_rows)
     return flag
 
 
@@ -196,7 +201,7 @@ def realize_flag(positives) -> FlagOrdering:
     functional is the strict half-space found by :func:`classify_cone` and
     the flag is completed with standard basis rows.
     """
-    positives = [vector(v) for v in positives]
+    positives = list(positives)
     cert = classify_cone(positives)
     if isinstance(cert, exactlin.ZeroCombo):
         raise NoCone("inputs admit a vanishing nonnegative combination", cert)
@@ -223,7 +228,7 @@ def gl_witness(a: IntegerAutomorphism) -> tuple[FlagOrdering, tuple[int, ...]]:
     # a lower unitriangular A keeps the first nonzero coordinate of every v
     if not all(a.entries[i][j] == (i == j) for i in range(n) for j in range(i, n)):
         identity = FlagOrdering.identity(n)
-        moved = _trusted_flag(matrix(a.entries))  # signs v as the identity flag signs A.v
+        moved = _trusted_flag(matrix(a.entries), a.entries)  # signs v as identity signs A.v
         for v, _ in zip(_ball_vectors(n, 2), budget):
             if flag_sign(identity, v) != flag_sign(moved, v):
                 return identity, v

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from grouporders import znord
 from grouporders.cli import main
-from grouporders.stdord import identity_ordering, separate
+from grouporders.stdord import identity_ordering, ordering_from_json, separate
 from grouporders.words import parse_word
 
 
@@ -380,6 +380,23 @@ def _with(spec, **fields):
 def test_ordering_json_needs_integer_fields_and_a_bounded_rank(capsys, spec):
     code, _, err = run(capsys, "free", "sign", "x1", "--ordering", spec)
     _one_line_error(code, err, "InputError")
+
+
+# pivot level 1, twist degree 3: the constraints read a word realizing the pivot
+DEEP_TWIST_JSON = json.dumps(separate(
+    parse_word("x1", 2), parse_word("x1^2 x2 x1^-1 x2 x1 x2^-1 x1^-1 x2^-1", 2)).to_json())
+
+
+@pytest.mark.parametrize("spec, message", [
+    (_with(TWISTED_JSON, psi=[[[1, 2], "1"]]), "InputError: psi does not annihilate"),
+    (_with(TWISTED_JSON, twist_degree=4), "DimensionMismatch: need 1 <= pivot level d"),
+    (_with(DEEP_TWIST_JSON, pivot_coords=[10 ** 12, 1]), "InputError: the word with"),
+])
+def test_twisted_json_off_its_constraints_exits_1(capsys, spec, message):
+    assert ordering_from_json(DEEP_TWIST_JSON).twist_degree == 3
+    code, _, err = run(capsys, "free", "sign", "x1", "--ordering", spec)
+    _one_line_error(code, err, message.split(":")[0])
+    assert err.startswith(message)
 
 
 @pytest.mark.parametrize("argv", [

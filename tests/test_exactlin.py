@@ -1,6 +1,7 @@
 import itertools
 import math
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 from grouporders.errors import EmptyInput, InputError, NoSeparator, ZeroVectorInput
 from grouporders.exactlin import (MAX_CONE_SUBSETS, Halfspace, ZeroCombo, _int_row,
-                                  classify_cone, clear_denominators, dot, int_det,
-                                  kernel_basis, matrix, rank, scale_to_integers,
-                                  solve_inequalities, solve_linear, strict_separator, vector)
+                                  classify_cone, dot, int_det, kernel_basis, matrix, rank,
+                                  scale_to_integers, solve_inequalities, solve_linear,
+                                  strict_separator, vector)
 
 
 def test_kernel_of_identity_is_empty():
@@ -240,6 +241,59 @@ def test_integer_rows_give_the_rational_rows_point(vs):
         repr(solve_inequalities([(v, Fraction(1)) for v in vs], len(vs[0])))
 
 
+def _fraction_back_substitution(constraints, nvars):
+    """solve_inequalities as it stood with back-substitution in Fraction: the
+    elimination is the library's, each bound a Fraction, then max or min."""
+    system = {1 << i: row for i, row in enumerate(constraints)}
+    bounds = []
+    for var in range(nvars - 1, -1, -1):
+        lowers, uppers, rest = {}, {}, {}
+        for support, (coeffs, b) in system.items():
+            c = coeffs[var]
+            (lowers if c > 0 else uppers if c < 0 else rest)[support] = (coeffs, b)
+        for low, (lc, lb) in lowers.items():
+            for up, (uc, ub) in uppers.items():
+                if (support := low | up) in rest or support.bit_count() > nvars - var + 1:
+                    continue
+                scale_l, scale_u = -uc[var], lc[var]
+                rest[support] = (tuple(scale_l * a + scale_u * b for a, b in zip(lc, uc)),
+                                 scale_l * lb + scale_u * ub)
+        system = rest
+        bounds.append((lowers, uppers))
+    if any(b > 0 for _, b in system.values()):
+        return None
+    values = []
+    for var, (lowers, uppers) in enumerate(reversed(bounds)):
+        found = [Fraction(b - sum(map(mul, coeffs, values)), coeffs[var])
+                 for coeffs, b in (lowers or uppers).values()]
+        values.append(max(found) if lowers else min(found) if uppers else Fraction(0))
+    return tuple(values)
+
+
+# integer rows as the cone callers pass them, or any right-hand sides; both feasible
+# and infeasible systems are drawn, and a row and its negation make some infeasible
+_int_systems = st.integers(1, 6).flatmap(lambda n: st.tuples(
+    st.lists(st.tuples(st.tuples(*[st.integers(-4, 4)] * n), st.integers(-3, 3)),
+             min_size=1, max_size=7),
+    st.just(n), st.booleans()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_systems)
+@example(([((1, 2), 1), ((-3, 1), 1)], 2, False))  # bounds over a denominator of 3
+@example(([((2, 0), 1)], 2, True))  # infeasible: 2 x >= 1 and -2 x >= 1
+def test_integer_back_substitution_gives_the_fraction_point(system):
+    rows, nvars, negate_first = system
+    if negate_first:
+        coeffs, b = rows[0]
+        rows = rows + [(tuple(-x for x in coeffs), b)]
+    got = solve_inequalities(rows, nvars)
+    assert repr(got) == repr(_fraction_back_substitution(rows, nvars))
+    if got is not None:
+        assert all(type(x) is Fraction for x in got)
+        assert all(dot(coeffs, got) >= b for coeffs, b in rows)
+
+
 def _pointed(m, n):
     """m distinct vectors in Z^n with first coordinate 1."""
     return [(1, *(((i >> j) & 1) * (j + 1) - i % 3 for j in range(n - 1))) for i in range(m)]
@@ -279,7 +333,7 @@ def _primitive_multiple(v):
 @given(st.lists(st.fractions(-6, 6, max_denominator=8), max_size=5))
 def test_integer_multiples_of_rational_vectors(v):
     v = vector(v)
-    cleared = clear_denominators(v)
+    cleared = _int_row(v)[0]
     assert all(type(x) is int for x in cleared)
     multiple = next((Fraction(c) / x for c, x in zip(cleared, v) if x), Fraction(1))
     assert multiple > 0 and all(multiple * x == c for x, c in zip(v, cleared))

@@ -17,7 +17,7 @@ from grouporders.errors import DepthExceedsCap, GroupOrderError, InputError
 from grouporders.hall import (_triangle, basis_layer, bracket_expansion, bracket_word,
                               coords_at_level, decompose_lie, identity_matrix,
                               induced_matrix, layer_rank, leading_coords, lyndon_words)
-from grouporders.series import lcs_depth, leading_part, magnus
+from grouporders.series import lcs_depth, leading_part, magnus, magnus_part
 from grouporders.words import (Endomorphism, commutator, generator, parse_endomorphism,
                                parse_word, word)
 
@@ -193,10 +193,9 @@ def leading_parts(draw):
     if draw(st.booleans()):
         w = w * commutator(words[1], words[2])
     assume(not w.is_identity())
-    series = magnus(w, cap)
-    depth = series.min_degree()
-    assume(depth is not None)
-    return rank, depth, series.graded_part(depth)
+    lead = leading_part(w, cap)
+    assume(lead is not None)
+    return rank, *lead
 
 
 @settings(max_examples=150, deadline=None)
@@ -216,7 +215,7 @@ def test_bracket_words_decompose_to_unit_vectors():
         for weight in range(1, top + 1):
             layer = basis_layer(rank, weight)
             for i, b in enumerate(layer):
-                part = magnus(bracket_word(rank, b), weight).graded_part(weight)
+                part = magnus_part(bracket_word(rank, b), weight)
                 assert decompose_lie(rank, weight, part) == \
                     tuple(1 if j == i else 0 for j in range(len(layer)))
 

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import itertools
+import json
 import os
 import random
 import subprocess
@@ -22,7 +24,7 @@ from grouporders.errors import (CommonRoot, DepthCapExceeded, DepthExceedsCap,
 from grouporders.exactlin import dot, kernel_basis, vector
 from grouporders.hall import decompose_lie, layer_rank, leading_coords
 from grouporders.report import random_standard_ordering
-from grouporders.series import magnus
+from grouporders.series import magnus, magnus_part
 from grouporders.stdord import (AxiomReport, StandardOrdering, TwistedOrdering, ball_distance,
                                 compare, identity_levels, identity_ordering,
                                 ordering_from_json, pullback, separate,
@@ -352,7 +354,7 @@ def _composition_twist_constraints(rank, d, u0, j):
     if d + 1 <= j - d:
         realizer = stdord._word_with_coords(rank, d, u0)
         samples = [{m: Fraction(c) for m, c in
-                    magnus(realizer ** s, d + 1).graded_part(d + 1).items()}
+                    magnus_part(realizer ** s, d + 1).items()}
                    for s in (1, 2, 3)]
         lie = [dict(stdord._lie_embedding(rank, d + 1, row))
                for row in hall.identity_matrix(layer_rank(rank, d + 1))]
@@ -394,10 +396,10 @@ def test_twist_constraints_span_the_composition_reference(r, d, u0, j, monkeypat
     def twists(constraints_fn):
         monkeypatch.setattr(stdord, "_twist_constraints", constraints_fn)
         pivot = stdord._word_with_coords(r, d, u0)
-        mu_j_pivot = magnus(pivot, j).graded_part(j)
+        mu_j_pivot = magnus_part(pivot, j)
         out = []
         for b in hall.basis_layer(r, j)[:3]:
-            z_part = magnus(hall.bracket_word(r, b), j).graded_part(j)
+            z_part = magnus_part(hall.bracket_word(r, b), j)
             try:
                 o = stdord.build_twisted(r, 5, d, u0, j, z_part, mu_j_pivot, Fraction(3))
                 out.append((o.psi, o.alpha))
@@ -428,14 +430,14 @@ def test_twists_on_the_twist_cases_are_pinned():
     rng = random.Random(25)
     lines = []
     for r, d, u0, j in TWIST_CASES:
-        mu_j_pivot = magnus(stdord._word_with_coords(r, d, u0), j).graded_part(j)
+        mu_j_pivot = magnus_part(stdord._word_with_coords(r, d, u0), j)
         words = [hall.bracket_word(r, b) for b in hall.basis_layer(r, j)[:4]]
         for _ in range(4):
             short = [word(r, [rng.choice((-1, 1)) * rng.randint(1, r)
                               for _ in range(rng.randint(1, 3))]) for _ in range(2)]
             words.append(rng.choice((short[0] ** j, commutator(*short))))
         for w in words:
-            z_part = magnus(w, j).graded_part(j)
+            z_part = magnus_part(w, j)
             sigma = Fraction(rng.randint(1, 5), rng.randint(1, 3))
             lines.append(f"{r} {d} {u0} {j} {sorted(z_part.items())} {sigma} "
                          + _pinned_twist(r, 5, d, u0, j, z_part, mu_j_pivot, sigma))
@@ -497,10 +499,10 @@ def _unmemoized_axioms(ordering, radius):
 
 
 def _tampered_twist(cap, psi):
-    """The x1 x2 / x2 x1 twisted ordering loaded from JSON with another psi."""
+    """The x1 x2 / x2 x1 twisted ordering, loaded from JSON, with another psi put in
+    by ``dataclasses.replace``: from_json itself refuses such a psi."""
     data = separate(parse_word("x1 x2", 2), parse_word("x2 x1", 2), cap=cap).to_json()
-    data["psi"] = psi
-    return ordering_from_json(data)
+    return dataclasses.replace(ordering_from_json(data), psi=psi)
 
 
 def test_axiom_report_matches_unmemoized_loop():
@@ -557,15 +559,15 @@ def _reference_twisted_sign(o, w):
     if w.is_identity():
         raise EmptyWord("the identity has no sign")
     series = magnus(w, o.cap)
-    depth = series.min_degree()
+    depth = min((len(m) for m in series.coeffs if m), default=None)
     if depth is None:
         raise DepthExceedsCap(f"word not visible at class cap {o.cap}")
     d = o.pivot_level
     if depth < d:
-        coords = decompose_lie(o.rank, depth, series.graded_part(depth))
+        coords = decompose_lie(o.rank, depth, _graded(series, depth))
         return flag_sign(o.levels[depth - 1], coords)
     if depth == d:
-        coords = decompose_lie(o.rank, d, series.graded_part(d))
+        coords = decompose_lie(o.rank, d, _graded(series, d))
     else:
         coords = tuple(0 for _ in range(layer_rank(o.rank, d)))
     u = vector(o.pivot_coords)
@@ -576,14 +578,18 @@ def _reference_twisted_sign(o, w):
     lead = next(i for i, x in enumerate(u) if x != 0)
     dual = tuple(1 / u[lead] if i == lead else Fraction(0) for i in range(len(u)))
     s = dot(dual, coords)
-    part_j = series.graded_part(o.twist_degree)
+    part_j = _graded(series, o.twist_degree)
     rho = o.alpha * s + sum((c * part_j.get(m, 0) for m, c in o.psi), Fraction(0))
     if rho != 0:
         return 1 if rho > 0 else -1
     if s != 0:
         return 1 if s > 0 else -1
-    coords = decompose_lie(o.rank, depth, series.graded_part(depth))
+    coords = decompose_lie(o.rank, depth, _graded(series, depth))
     return flag_sign(o.levels[depth - 1], coords)
+
+
+def _graded(series, degree):
+    return {m: c for m, c in series.coeffs.items() if len(m) == degree}
 
 
 @lru_cache(maxsize=None)
@@ -613,6 +619,24 @@ def _named_twists():
         _tampered_twist(5, [[[1, 2], "1"]]),
         _tampered_twist(2, [[list(m), "1"] for m in ((1, 1), (1, 2), (2, 1), (2, 2))]),
     )
+
+
+def test_every_twisted_ordering_of_the_separate_digest_round_trips():
+    # the twisted outcomes of tests/test_separate_outcomes.py; from_json re-derives
+    # each one's twist constraints and finds psi annihilates them
+    for o in _ball_twists():
+        again = ordering_from_json(json.dumps(o.to_json()))
+        assert isinstance(again, TwistedOrdering)
+        assert again == o and again.to_json() == o.to_json()
+
+
+@pytest.mark.parametrize("cap, psi", [
+    (5, [[[1, 2], "1"]]), (2, [[list(m), "1"] for m in ((1, 1), (1, 2), (2, 1), (2, 2))])])
+def test_a_loaded_psi_off_the_twist_constraints_is_refused(cap, psi):
+    data = separate(parse_word("x1 x2", 2), parse_word("x2 x1", 2), cap=cap).to_json()
+    data["psi"] = psi
+    with pytest.raises(InputError, match="psi does not annihilate the twist constraints"):
+        ordering_from_json(data)
 
 
 def _deep_words(rank):

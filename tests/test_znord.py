@@ -204,6 +204,19 @@ def test_complete_flag_matches_greedy_rank_scan(row):
     assert flag == checked and flag.to_json() == checked.to_json()
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.integers(-9, 9), min_size=n, max_size=n)).filter(any))
+def test_complete_flag_of_an_int_row_is_that_of_its_fractions(row):
+    # an int row builds its integer rows directly; Fractions go through _int_row
+    flag, rational = complete_flag(tuple(row)), complete_flag([Fraction(x) for x in row])
+    assert flag.rows == rational.rows and flag._int_rows == rational._int_rows
+    assert flag._int_rows == FlagOrdering(flag.rows)._int_rows
+    assert all(type(x) is Fraction for r in flag.rows for x in r)
+    assert all(type(x) is int for r in flag._int_rows for x in r)
+    assert flag == rational and flag.to_json() == rational.to_json()
+
+
 def test_complete_flag_rejects_zero_row():
     for n in range(1, 7):
         with pytest.raises(DimensionMismatch):
@@ -292,8 +305,8 @@ def test_trusted_flags_match_the_checked_flags_of_their_rows(a, data):
     f = FlagOrdering(rows)
     built, trusted = [], znord._trusted_flag
 
-    def recording(rows):
-        built.append(trusted(rows))
+    def recording(rows, int_rows):
+        built.append(trusted(rows, int_rows))
         return built[-1]
 
     with patch.object(znord, "_trusted_flag", recording):
