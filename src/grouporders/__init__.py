@@ -31,13 +31,13 @@ _EXPORTS = {
     "hall": ("basis_layer", "bracket_word", "coords_at_level", "induced_matrix",
              "layer_rank", "leading_coords", "lyndon_words"),
     "stdord": ("AxiomReport", "StandardOrdering", "TwistedOrdering", "ball_distance",
-               "compare", "identity_ordering", "ordering_from_json", "pullback",
-               "separate", "verify_cone_axioms"),
+               "compare", "identity_ordering", "ordering_from_json", "separate",
+               "verify_cone_axioms"),
     "autact": ("OrderingWitness", "boundary_separation", "ordering_witness",
                "pulled_sign", "verify_automorphism"),
     "klein": ("KleinAut", "KleinElement", "KleinOrdering", "k_enumerate_orderings",
-              "k_mul", "k_out_table", "k_pull", "k_sign", "parse_klein",
-              "parse_klein_aut", "survey_ball_orderings"),
+              "k_out_table", "k_pull", "parse_klein", "parse_klein_aut",
+              "survey_ball_orderings"),
     "catalog": ("automorphism_catalog", "ia_generators", "random_ia_product"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

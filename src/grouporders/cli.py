@@ -20,8 +20,8 @@ from .errors import (CapExceeded, CertificateError, GroupOrderError, NegativeCer
                      ParseError)
 from .exactlin import matrix
 from .hall import leading_coords
-from .klein import (KleinOrdering, k_enumerate_orderings, k_mul, k_out_table, k_pull,
-                    parse_klein, parse_klein_aut)
+from .klein import (KleinOrdering, k_enumerate_orderings, k_out_table, k_pull, parse_klein,
+                    parse_klein_aut)
 from .series import lcs_depth, magnus
 from .stdord import (ball_distance, compare, identity_ordering, ordering_from_json,
                      separate, verify_cone_axioms)
@@ -285,7 +285,7 @@ def _run_aut(args) -> int:
 
 def _run_klein(args) -> int:
     if args.command == "mul":
-        result = k_mul(parse_klein(args.left), parse_klein(args.right))
+        result = parse_klein(args.left) * parse_klein(args.right)
         _emit(args, {"a": result.a, "b": result.b}, str(result))
     elif args.command == "orderings":
         orderings = k_enumerate_orderings()

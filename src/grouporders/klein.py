@@ -68,10 +68,6 @@ def parse_klein(text: str) -> KleinElement:
     return result
 
 
-def k_mul(p: KleinElement, q: KleinElement) -> KleinElement:
-    return p * q
-
-
 @dataclass(frozen=True)
 class KleinOrdering:
     """Positive cone {a > 0} or {a = 0, b > 0} up to the two sign choices."""
@@ -126,10 +122,6 @@ def _verify_cone(ordering: KleinOrdering) -> None:
     """The radius-3 cone-axiom check, once per (eps, delta) per process."""
     if not _cone_axioms_hold(ordering, 3):
         raise CertificateError(f"cone {ordering} fails the axioms on the radius-3 ball")
-
-
-def k_sign(ordering: KleinOrdering, p: KleinElement) -> int:
-    return ordering.sign(p)
 
 
 def k_enumerate_orderings() -> list[KleinOrdering]:

@@ -24,6 +24,12 @@ concatenation products of coefficient vectors that subgroup can produce
 (see :func:`_twist_constraints`).  First-nonzero-row sign is therefore a
 genuine left-invariant total order on all words of depth <= cap.
 
+Both orderings sign a word with one reader: ``hall.leading_coords`` gives
+its depth and coordinates, and :func:`_level_sign` signs them on their
+level's flag.  A twisted ordering reads its pivot and twist rows first,
+all in integers: the twist row is kept as alpha and psi times one positive
+common denominator, which changes no sign.
+
 Only twists with j <= 2d + 1 are constructed; the constraint space has a
 proven description in that range.  Separations that would need more are
 reported as :class:`DepthCapExceeded`, never silently approximated.
@@ -33,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -41,13 +47,13 @@ from typing import Sequence
 from . import exactlin, hall
 from .errors import (CertificateError, CommonRoot, DepthCapExceeded, DepthExceedsCap,
                      DimensionMismatch, EmptyWord, InputError, ParseError)
-from .exactlin import strict_separator
-from .hall import decompose_lie, layer_rank, leading_coords
+from .exactlin import _int_row, strict_separator
+from .hall import layer_rank, leading_coords
 from .series import Monomial, concat, leading_part, magnus_part
 from .words import (MAX_BALL_WORDS, MAX_WORD_LETTERS, Word, _trusted, ball_size,
                     ball_words, common_root, identity_word, reduced_product)
-from .znord import (FlagOrdering, _int_sign, complete_flag, flag_sign,
-                    opposite as flag_opposite, positive_ratio)
+from .znord import (FlagOrdering, _int_sign, complete_flag, opposite as flag_opposite,
+                    positive_ratio)
 
 POWER_BOUND = 64  # largest exponent a or b that separate tries in g^a, k^b
 MAX_FLAG_ENTRIES = 100_000  # no ordering holds level flags with more matrix entries
@@ -90,6 +96,19 @@ def _check_levels(rank: int, cap: int, levels: Sequence[FlagOrdering]):
                 f"level {i} flag has dimension {flag.dimension}, expected {expected}")
 
 
+def _level_sign(levels: Sequence[FlagOrdering], depth: int, coords: tuple[int, ...]) -> int:
+    """Sign of a word's leading coordinates on its depth's level flag."""
+    value = _int_sign(levels[depth - 1], coords)
+    if value == 0:
+        raise CertificateError(f"flag gave sign 0 to the nonzero coordinates {coords}")
+    return value
+
+
+def _psi_dot(psi: Sequence[tuple[Monomial, int]], part: dict[Monomial, int]) -> int:
+    """The integer twist functional on a degree part."""
+    return sum(x * part.get(m, 0) for m, x in psi)
+
+
 @dataclass(frozen=True)
 class StandardOrdering:
     """One flag ordering per lower-central level; bi-invariant by construction."""
@@ -108,10 +127,7 @@ class StandardOrdering:
         if w.is_identity():
             raise EmptyWord("the identity has no sign")
         depth, coords = leading_coords(w, self.cap)
-        value = _int_sign(self.levels[depth - 1], coords)
-        if value == 0:
-            raise CertificateError(f"flag gave sign 0 to the nonzero coordinates {coords}")
-        return value
+        return _level_sign(self.levels, depth, coords)
 
     def opposite(self) -> "StandardOrdering":
         return StandardOrdering(self.rank, self.cap,
@@ -151,10 +167,15 @@ class TwistedOrdering:
     satisfy the orthogonality constraints described in the module docstring;
     ``from_json`` re-derives them, the constructor does not (use :func:`build_twisted`).
 
-    A sign reads depth and leading part as :class:`StandardOrdering` does.
-    With i the first nonzero index of U and c the pivot-level coordinates,
-    the rows vanishing on U have the signs of u_i (u_i c_k - u_k c_i), and
-    the dual of U reads c_i / u_i; the degree-j part is read only if needed.
+    A sign reads depth d' and coordinates c through ``leading_coords``, as
+    :class:`StandardOrdering` does.  With i the first nonzero index of U, at
+    d' = d the rows vanishing on U have the signs of u_i (u_i c_k - u_k c_i).
+    The twist row is read in integers, A and P being alpha and psi times one
+    positive denominator, and p the word's degree-j part: at d' = d it has
+    the sign of u_i (A c_i + u_i P(p)), and the dual of U that of u_i c_i;
+    at d < d' <= j it has the sign of P(p).  p is read only there, once the
+    pivot rows vanish.  Every other word, and one the twist row gives 0 at
+    d < d' <= j, is signed by its level flag.
     """
 
     rank: int
@@ -165,6 +186,9 @@ class TwistedOrdering:
     psi: tuple[tuple[Monomial, Fraction], ...]
     alpha: Fraction
     levels: tuple[FlagOrdering, ...]
+    # alpha and psi times one positive integer: the same signs, integer arithmetic
+    _int_alpha: int = field(init=False, compare=False, repr=False)
+    _int_psi: tuple[tuple[Monomial, int], ...] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _check_levels(self.rank, self.cap, tuple(self.levels))
@@ -179,39 +203,33 @@ class TwistedOrdering:
         if len(u) != layer_rank(self.rank, d) or all(x == 0 for x in u):
             raise DimensionMismatch("pivot coordinates must be a nonzero level vector")
         object.__setattr__(self, "pivot_coords", u)
-        object.__setattr__(self, "psi", tuple((tuple(m), Fraction(c))
-                                              for m, c in self.psi))
+        psi = tuple((tuple(m), Fraction(c)) for m, c in self.psi)
+        object.__setattr__(self, "psi", psi)
         object.__setattr__(self, "alpha", Fraction(self.alpha))
+        (alpha, *values), _ = _int_row((self.alpha, *(c for _, c in psi)))
+        object.__setattr__(self, "_int_alpha", alpha)
+        object.__setattr__(self, "_int_psi", tuple((m, x) for (m, _), x in zip(psi, values)))
 
     def sign(self, w: Word) -> int:
         """+1 or -1; raises DepthExceedsCap for words the cap cannot see."""
         if w.is_identity():
             raise EmptyWord("the identity has no sign")
-        lead = leading_part(w, self.cap)
-        if lead is None:
-            raise DepthExceedsCap(f"word not visible at class cap {self.cap}")
-        depth, part = lead
+        depth, c = leading_coords(w, self.cap)
         d, j = self.pivot_level, self.twist_degree
-        c = decompose_lie(self.rank, depth, part)
-        if depth < d:
-            return flag_sign(self.levels[depth - 1], c)
-        s = Fraction(0)
-        if depth == d:
-            u = self.pivot_coords
-            i = next(k for k, x in enumerate(u) if x)
-            for k in range(len(u)):
-                value = u[i] * (u[i] * c[k] - u[k] * c[i])
-                if value:
-                    return 1 if value > 0 else -1
-            s = Fraction(c[i], u[i])
-        part_j = part if depth == j else {} if depth > j else magnus_part(w, j)
-        rho = self.alpha * s + sum(x * part_j.get(m, 0) for m, x in self.psi)
-        if rho != 0:
-            return 1 if rho > 0 else -1
-        if s != 0:
-            return 1 if s > 0 else -1
-        # remaining words sit strictly below the pivot level: plain level scan
-        return flag_sign(self.levels[depth - 1], c)
+        if d <= depth <= j:
+            if depth == d:
+                u = self.pivot_coords
+                i = next(k for k, x in enumerate(u) if x)
+                for k in range(len(u)):
+                    value = u[i] * (u[i] * c[k] - u[k] * c[i])
+                    if value:
+                        return 1 if value > 0 else -1
+            value = _psi_dot(self._int_psi, magnus_part(w, j))
+            if depth == d:
+                value = u[i] * (self._int_alpha * c[i] + u[i] * value) or u[i] * c[i]
+            if value:
+                return 1 if value > 0 else -1
+        return _level_sign(self.levels, depth, c)
 
     def to_json(self) -> dict:
         return {
@@ -239,7 +257,7 @@ class TwistedOrdering:
         )
         for constraint in _twist_constraints(o.rank, o.pivot_level, o.pivot_coords,
                                              o.twist_degree):
-            if sum(x * constraint.get(m, 0) for m, x in o.psi):  # as sign reads psi
+            if _psi_dot(o._int_psi, constraint):  # as sign reads psi
                 raise InputError("psi does not annihilate the twist constraints, so "
                                  "the twist row is not additive")
         return o
@@ -266,17 +284,6 @@ def compare(ordering: Ordering, g: Word, h: Word) -> int:
     if q.is_identity():
         return 0
     return -ordering.sign(q)
-
-
-def pullback(quotient_levels: Sequence[FlagOrdering],
-             tail: Sequence[FlagOrdering]) -> StandardOrdering:
-    """Ordering agreeing with the quotient data wherever a word survives
-    in the corresponding nilpotent quotient, completed by the tail flags."""
-    levels = tuple(quotient_levels) + tuple(tail)
-    if not levels:
-        raise DimensionMismatch("pullback needs at least one level")
-    rank = levels[0].dimension
-    return StandardOrdering(rank, len(levels), levels)
 
 
 # ---------------------------------------------------------------------------

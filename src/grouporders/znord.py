@@ -47,29 +47,6 @@ class FlagOrdering:
     def sign(self, v) -> int:
         return flag_sign(self, v)
 
-    def canonical_rows(self) -> Matrix:
-        """Canonical representative of the sign function this matrix defines.
-
-        Positive row scaling and adding multiples of earlier rows to later
-        rows never change any sign, so reducing later rows at earlier pivots
-        and normalizing each leading entry to +-1 picks one matrix per
-        ordering.
-        """
-        rows = [list(r) for r in self.rows]
-        n = len(rows)
-        for i in range(n):
-            pivot = next(c for c in range(n) if rows[i][c] != 0)
-            lead = abs(rows[i][pivot])
-            rows[i] = [x / lead for x in rows[i]]
-            for j in range(i + 1, n):
-                if rows[j][pivot] != 0:
-                    f = rows[j][pivot] / rows[i][pivot]
-                    rows[j] = [a - f * b for a, b in zip(rows[j], rows[i])]
-        return tuple(tuple(r) for r in rows)
-
-    def same_ordering(self, other: "FlagOrdering") -> bool:
-        return self.canonical_rows() == other.canonical_rows()
-
     def to_json(self) -> dict:
         return {
             "n": self.dimension,

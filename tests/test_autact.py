@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import os
 import re
 import subprocess
@@ -25,6 +27,10 @@ from grouporders.words import (Automorphism, Endomorphism, ball_words, generator
                                parse_word, word)
 
 LEX = identity_ordering(2, 5)
+
+# sha256 of each catalog entry's name and its cap-5 witness's JSON, one entry
+# after another; 11 of the 24 witnesses are twisted orderings
+CATALOG_WITNESS_DIGEST = "f2e8f21c9c8fbb17dd055a3e77a0cacb61d0db25ee546829bc7e015a98b4448c"
 
 
 def test_primitive_root_examples():
@@ -133,6 +139,17 @@ def test_witness_catalog_is_self_verifying():
         assert witness.sign_before == witness.ordering.sign(witness.word), name
         assert witness.sign_after == witness.ordering.sign(
             phi.apply(witness.word)), name
+
+
+def test_catalog_witnesses_are_pinned():
+    digest = hashlib.sha256()
+    twisted = 0
+    for name, phi in automorphism_catalog():
+        witness = ordering_witness(phi, 5)
+        twisted += isinstance(witness.ordering, TwistedOrdering)
+        digest.update(f"{name}\n{json.dumps(witness.to_json(), sort_keys=True)}\n".encode())
+    assert twisted == 11
+    assert digest.hexdigest() == CATALOG_WITNESS_DIGEST
 
 
 def test_witness_json_shape():

@@ -40,7 +40,8 @@ def test_every_export_is_its_home_modules_object():
     assert all(namespace[name] is getattr(grouporders, name) for name in names)
 
 
-@pytest.mark.parametrize("name", ["no_such_name", "std_sign", "cli_main"])
+@pytest.mark.parametrize("name", ["no_such_name", "std_sign", "cli_main", "pullback",
+                                  "k_mul", "k_sign"])
 def test_unknown_name_raises_attribute_error(name):
     with pytest.raises(AttributeError, match=f"'grouporders' has no attribute '{name}'"):
         getattr(grouporders, name)

@@ -27,8 +27,7 @@ from grouporders.report import random_standard_ordering
 from grouporders.series import magnus, magnus_part
 from grouporders.stdord import (AxiomReport, StandardOrdering, TwistedOrdering, ball_distance,
                                 compare, identity_levels, identity_ordering,
-                                ordering_from_json, pullback, separate,
-                                verify_cone_axioms)
+                                ordering_from_json, separate, verify_cone_axioms)
 from grouporders.words import (MAX_BALL_WORDS, ball_size, ball_words, commutator, generator,
                                parse_word, word)
 from grouporders.znord import flag_sign, opposite, positive_ratio
@@ -83,16 +82,22 @@ def test_rank_or_class_below_one_is_an_input_error():
 
 
 def test_pullback_concatenates_levels():
+    # the quotient's level flags followed by tail flags: a word the class-2
+    # quotient sees keeps the quotient's sign
     levels = identity_levels(2, 5)
-    assert pullback(levels[:2], levels[2:]).levels == levels
+    quotient = StandardOrdering(2, 2, levels[:2])
+    pulled = StandardOrdering(2, 5, quotient.levels + tuple(opposite(f) for f in levels[2:]))
+    for w in ball_words(2, 4):
+        if leading_coords(w, 5)[0] <= 2:
+            assert pulled.sign(w) == quotient.sign(w)
 
 
 def test_pullback_quotient_data_decides_surviving_words():
     levels = identity_levels(2, 5)
     tail_a = levels[1:]
     tail_b = (opposite(levels[1]),) + levels[2:]
-    s_a = pullback(levels[:1], tail_a)
-    s_b = pullback(levels[:1], tail_b)
+    s_a = StandardOrdering(2, 5, levels[:1] + tail_a)
+    s_b = StandardOrdering(2, 5, levels[:1] + tail_b)
     for w in ball_words(2, 3):
         # whole ball has depth 1: the shared quotient level decides everything
         assert s_a.sign(w) == s_b.sign(w)
@@ -684,3 +689,50 @@ def test_named_twists_have_the_shapes_they_stand_for():
 def test_twisted_sign_matches_kernel_basis_reference(case):
     o, w = case
     assert _outcome(TwistedOrdering.sign, o, w) == _outcome(_reference_twisted_sign, o, w)
+
+
+@pytest.mark.parametrize("rank, radius", [(2, 2), (3, 2)])
+def test_matched_powers_multiply_to_a_zero_of_the_twist_row(rank, radius):
+    """separate's twist row is +1/2 on g^a and -1/2 on k^b, and additive where the
+    pivot rows vanish, so g^a k^b is signed by the dual of U: positive."""
+    words = list(ball_words(rank, radius))
+    lead = {w.letters: leading_coords(w, 5) for w in words}
+    twists = 0
+    for g, k in itertools.permutations(words, 2):
+        (dg, ug), (dk, uk) = lead[g.letters], lead[k.letters]
+        ratio = positive_ratio(ug, uk) if dg == dk else None
+        if ratio is not None and common_power(g, k) is None:
+            o = separate(g, k)
+            w = g ** ratio.numerator * k ** ratio.denominator
+            assert o.sign(w) == _reference_twisted_sign(o, w) == 1, (g, k)
+            twists += 1
+    assert twists > 0
+
+
+def test_twisted_sign_builds_no_fraction(monkeypatch):
+    twists = _named_twists() + _ball_twists()
+    balls = {rank: list(ball_words(rank, radius)) for rank, radius in ((2, 3), (3, 2))}
+    deep = {rank: _deep_words(rank) for rank in balls}
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("a Fraction was built")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    for o in twists:
+        for w in balls[o.rank] + deep[o.rank]:
+            _outcome(TwistedOrdering.sign, o, w)
+
+
+def test_twist_row_is_alpha_and_psi_over_one_positive_denominator():
+    built = _named_twists()[:3] + _ball_twists()
+    loaded = tuple(ordering_from_json(json.dumps(o.to_json())) for o in built)
+    for o in built + loaded:
+        assert type(o._int_alpha) is int
+        assert [m for m, _ in o._int_psi] == [m for m, _ in o.psi]
+        assert all(type(x) is int for _, x in o._int_psi)
+        # every psi entry is nonzero, so each names the same L
+        scales = {Fraction(x) / c for (_, x), (_, c) in zip(o._int_psi, o.psi)}
+        assert len(scales) == 1
+        scale = scales.pop()
+        assert scale > 0 and scale.denominator == 1
+        assert o._int_alpha == o.alpha * scale

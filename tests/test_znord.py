@@ -83,9 +83,12 @@ def test_act_composition_law(v):
 
 
 def test_semantic_equality():
+    # positive row scaling and adding earlier rows to later ones keep every sign
     scaled = FlagOrdering([[2, 0], [3, 1]])
-    assert scaled.same_ordering(I2)
-    assert not FlagOrdering([[0, 1], [1, 0]]).same_ordering(I2)
+    swapped = FlagOrdering([[0, 1], [1, 0]])
+    ball = list(_ball_vectors(2, 3))
+    assert all(flag_sign(scaled, v) == flag_sign(I2, v) for v in ball)
+    assert any(flag_sign(swapped, v) != flag_sign(I2, v) for v in ball)
 
 
 def test_gl_witness_negative_identity():
