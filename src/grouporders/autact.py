@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from .errors import (CertificateError, DepthCapExceeded, IdentityAutomorphism,
                      NonAutomorphism, NotFoundWithinBall)
 from .hall import identity_matrix, induced_matrix
-from .stdord import Ordering, StandardOrdering, identity_levels, separate
+from .stdord import Ordering, _assembled_ordering, identity_levels, separate
 # RootDecomposition and primitive_root are re-exported for callers of autact
 from .words import (Automorphism, Endomorphism, RootDecomposition, Word, ball_words,
                     common_power, generator, primitive_root)
@@ -128,7 +128,7 @@ def ordering_witness(phi, cap: int = 5) -> OrderingWitness:
     endo = _as_endomorphism(phi)
     if endo.is_identity():
         raise IdentityAutomorphism("the identity fixes every ordering")
-    levels = identity_levels(endo.rank, cap)  # refuses oversized flags before the fold
+    identity_levels(endo.rank, cap)  # refuses oversized flags before the fold
     verify_automorphism(phi)
     rank = endo.rank
     a1 = induced_matrix(endo, 1)
@@ -137,7 +137,7 @@ def ordering_witness(phi, cap: int = 5) -> OrderingWitness:
         w = Word(rank, ())
         for i, e in enumerate(v, start=1):
             w = w * generator(rank, i, e)
-        ordering = StandardOrdering(rank, cap, (flag,) + levels[1:])
+        ordering = _assembled_ordering(rank, cap, {1: flag})
         return OrderingWitness(ordering, w, ordering.sign(w),
                                ordering.sign(endo.apply(w)), endo)
     failure: Exception | None = None

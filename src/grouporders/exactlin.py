@@ -260,7 +260,16 @@ def _find_zero_combo(vs: Sequence[Vector]) -> ZeroCombo | None:
 
 def solve_inequalities(constraints: list[tuple[Sequence, int | Fraction]],
                        nvars: int) -> Vector | None:
-    """A point satisfying every ``coeffs . x >= b``, or None.
+    """A point satisfying every ``coeffs . x >= b``, or None: the point of
+    :func:`_integer_point` as ``Fraction``s."""
+    point = _integer_point(constraints, nvars)
+    return None if point is None else tuple(Fraction(x, point[1]) for x in point[0])
+
+
+def _integer_point(constraints: list[tuple[Sequence, int | Fraction]],
+                   nvars: int) -> tuple[tuple[int, ...], int] | None:
+    """Numerators over one positive denominator of a point satisfying every
+    ``coeffs . x >= b``, or None.
 
     Fourier-Motzkin: variables are eliminated from the last index down, each
     row keyed by its support (the inputs it combines); a combination whose
@@ -273,8 +282,8 @@ def solve_inequalities(constraints: list[tuple[Sequence, int | Fraction]],
     A row times a positive number leaves every projection and bound, hence
     the point, unchanged, so the cone callers pass integer rows and the whole
     solve stays in ``int``: back-substitution holds the values found as
-    numerators over one positive common denominator and compares candidate
-    bounds by cross-multiplication.  Only the returned point is ``Fraction``.
+    numerators over one positive common denominator, which it returns, and
+    compares candidate bounds by cross-multiplication.
     """
     system = {1 << i: row for i, row in enumerate(constraints)}
     bounds = []  # (lowers, uppers) of each variable, last index first
@@ -306,7 +315,7 @@ def solve_inequalities(constraints: list[tuple[Sequence, int | Fraction]],
         if q < 0:
             p, q = -p, -q
         nums, den = [x * q for x in nums] + [p], den * q
-    return tuple(Fraction(x, den) for x in nums)
+    return tuple(nums), den
 
 
 def classify_cone(vs: Sequence) -> ConeCertificate:
@@ -343,10 +352,13 @@ def strict_separator(pos: Sequence, neg: Sequence) -> Vector:
         raise DimensionMismatch("pos and neg must share a dimension")
     rows = pos_rows + [(tuple(-x for x in row), lcm) for row, lcm in neg_rows]
     _check_cone_size(rows)
-    f = solve_inequalities(rows, n)
-    if f is None:
+    point = _integer_point(rows, n)
+    if point is None:
         raise NoSeparator(f"no functional strictly separates {tuple(map(vector, pos))} "
                           f"from {tuple(map(vector, neg))}")
-    if not Halfspace(f).strict_for([row for row, _ in rows]):
+    nums, den = point
+    f = tuple(Fraction(x, den) for x in nums)
+    # den > 0, so the numerators sign each row as f does
+    if not all(len(row) == len(nums) and sum(map(mul, nums, row)) > 0 for row, _ in rows):
         raise CertificateError(f"functional {f} does not strictly separate the rows {rows}")
     return f

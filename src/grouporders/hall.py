@@ -162,17 +162,25 @@ def leading_coords(w: Word, cap: int) -> tuple[int, tuple[int, ...]]:
     A word with a nonzero exponent sum has depth 1 and its exponent sums as
     coordinates (see the module docstring); only other words read the series.
     """
+    depth, coords, _ = _leading(w, cap)
+    return depth, coords
+
+
+def _leading(w: Word, cap: int) -> tuple[int, tuple[int, ...], dict[Monomial, int] | None]:
+    """``leading_coords`` and the degree-depth part of the series they were read
+    from, None for a word read from its exponent sums: a sign that needs that
+    part expands no second series."""
     lyndon_words(w.rank, 1)  # refuses a level-1 layer too long to list, before the sums
     sums = [0] * (w.rank + 1)
     for letter in w.letters:
         sums[abs(letter)] += 1 if letter > 0 else -1
     if cap >= 1 and any(sums):  # leading_part refuses a cap below 1
-        return 1, tuple(sums[1:])
+        return 1, tuple(sums[1:]), None
     lead = leading_part(w, cap)
     if lead is None:
         raise DepthExceedsCap(f"word is trivial in every quotient up to class {cap}")
     depth, part = lead
-    return depth, decompose_lie(w.rank, depth, part)
+    return depth, decompose_lie(w.rank, depth, part), part
 
 
 def induced_matrix(phi: Endomorphism, level: int) -> tuple[tuple[int, ...], ...]:

@@ -28,7 +28,9 @@ Both orderings sign a word with one reader: ``hall.leading_coords`` gives
 its depth and coordinates, and :func:`_level_sign` signs them on their
 level's flag.  A twisted ordering reads its pivot and twist rows first,
 all in integers: the twist row is kept as alpha and psi times one positive
-common denominator, which changes no sign.
+common denominator, which changes no sign.  ``separate`` assembles its
+standard orderings from the cached identity levels and the flags it
+builds, and checks only those flags.
 
 Only twists with j <= 2d + 1 are constructed; the constraint space has a
 proven description in that range.  Separations that would need more are
@@ -48,7 +50,7 @@ from . import exactlin, hall
 from .errors import (CertificateError, CommonRoot, DepthCapExceeded, DepthExceedsCap,
                      DimensionMismatch, EmptyWord, InputError, ParseError)
 from .exactlin import _int_row, strict_separator
-from .hall import layer_rank, leading_coords
+from .hall import _leading, layer_rank, leading_coords
 from .series import Monomial, concat, leading_part, magnus_part
 from .words import (MAX_BALL_WORDS, MAX_WORD_LETTERS, Word, _trusted, ball_size,
                     ball_words, common_root, identity_word, reduced_product)
@@ -81,19 +83,28 @@ def _check_flag_entries(rank: int, cap: int) -> None:
                              f"{MAX_FLAG_ENTRIES} entries")
 
 
-def _check_levels(rank: int, cap: int, levels: Sequence[FlagOrdering]):
+def _check_shape(rank: int, cap: int) -> None:
+    """Refuse a rank or class that is not an integer of at least 1."""
     _check_int("rank", rank)
     _check_int("class", cap)
     if rank < 1 or cap < 1:
         raise InputError(f"rank {rank} and class {cap}: both must be at least 1")
+
+
+def _check_dimension(rank: int, level: int, flag: FlagOrdering) -> None:
+    expected = layer_rank(rank, level)
+    if flag.dimension != expected:
+        raise DimensionMismatch(
+            f"level {level} flag has dimension {flag.dimension}, expected {expected}")
+
+
+def _check_levels(rank: int, cap: int, levels: Sequence[FlagOrdering]):
+    _check_shape(rank, cap)
     if len(levels) != cap:
         raise DimensionMismatch(f"expected {cap} level flags, got {len(levels)}")
     _check_flag_entries(rank, cap)
     for i, flag in enumerate(levels, start=1):
-        expected = layer_rank(rank, i)
-        if flag.dimension != expected:
-            raise DimensionMismatch(
-                f"level {i} flag has dimension {flag.dimension}, expected {expected}")
+        _check_dimension(rank, i, flag)
 
 
 def _level_sign(levels: Sequence[FlagOrdering], depth: int, coords: tuple[int, ...]) -> int:
@@ -126,7 +137,7 @@ class StandardOrdering:
         """+1 or -1; raises DepthExceedsCap for words the cap cannot see."""
         if w.is_identity():
             raise EmptyWord("the identity has no sign")
-        depth, coords = leading_coords(w, self.cap)
+        depth, coords, _ = _leading(w, self.cap)
         return _level_sign(self.levels, depth, coords)
 
     def opposite(self) -> "StandardOrdering":
@@ -153,6 +164,25 @@ def identity_levels(rank: int, cap: int) -> tuple[FlagOrdering, ...]:
                  for i in range(1, cap + 1))
 
 
+def _assembled_ordering(rank: int, cap: int,
+                        replaced: dict[int, FlagOrdering]) -> StandardOrdering:
+    """``identity_levels(rank, cap)`` with the flag at each level of ``replaced``
+    swapped in, for flags the library built, never parsed input (as
+    ``znord._trusted_flag``).  It checks only what identity_levels did not:
+    rank and class are integers of at least 1, and each swapped flag has its
+    level's dimension."""
+    _check_shape(rank, cap)
+    levels = list(identity_levels(rank, cap))
+    for level, flag in replaced.items():
+        _check_dimension(rank, level, flag)
+        levels[level - 1] = flag
+    ordering = object.__new__(StandardOrdering)
+    object.__setattr__(ordering, "rank", rank)
+    object.__setattr__(ordering, "cap", cap)
+    object.__setattr__(ordering, "levels", tuple(levels))
+    return ordering
+
+
 def identity_ordering(rank: int, cap: int) -> StandardOrdering:
     """Lexicographic-through-basic-commutators ordering."""
     return StandardOrdering(rank, cap, identity_levels(rank, cap))
@@ -174,8 +204,9 @@ class TwistedOrdering:
     positive denominator, and p the word's degree-j part: at d' = d it has
     the sign of u_i (A c_i + u_i P(p)), and the dual of U that of u_i c_i;
     at d < d' <= j it has the sign of P(p).  p is read only there, once the
-    pivot rows vanish.  Every other word, and one the twist row gives 0 at
-    d < d' <= j, is signed by its level flag.
+    pivot rows vanish: at d' = j it is the part the coordinates were read
+    from, else one more series expansion.  Every other word, and one the
+    twist row gives 0 at d < d' <= j, is signed by its level flag.
     """
 
     rank: int
@@ -214,7 +245,7 @@ class TwistedOrdering:
         """+1 or -1; raises DepthExceedsCap for words the cap cannot see."""
         if w.is_identity():
             raise EmptyWord("the identity has no sign")
-        depth, c = leading_coords(w, self.cap)
+        depth, c, part = _leading(w, self.cap)
         d, j = self.pivot_level, self.twist_degree
         if d <= depth <= j:
             if depth == d:
@@ -224,7 +255,8 @@ class TwistedOrdering:
                     value = u[i] * (u[i] * c[k] - u[k] * c[i])
                     if value:
                         return 1 if value > 0 else -1
-            value = _psi_dot(self._int_psi, magnus_part(w, j))
+            # at depth j, the part the coordinates were read from is the degree-j part
+            value = _psi_dot(self._int_psi, part if depth == j else magnus_part(w, j))
             if depth == d:
                 value = u[i] * (self._int_alpha * c[i] + u[i] * value) or u[i] * c[i]
             if value:
@@ -519,17 +551,15 @@ def separate(g: Word, k: Word, cap: int = 5) -> Ordering:
     except DepthExceedsCap:
         _refuse_common_root(g, k)
         raise DepthCapExceeded(f"word deeper than class cap {cap}") from None
-    levels = list(identity_levels(rank, cap))
+    identity_levels(rank, cap)  # refuses oversized flags before any route
     if dg != dk:
-        levels[dg - 1] = complete_flag(ug)
-        levels[dk - 1] = complete_flag(tuple(-x for x in uk))
-        ordering: Ordering = StandardOrdering(rank, cap, tuple(levels))
+        ordering: Ordering = _assembled_ordering(
+            rank, cap, {dg: complete_flag(ug), dk: complete_flag(tuple(-x for x in uk))})
     else:
         ratio = positive_ratio(ug, uk)
         if ratio is None:
-            f = strict_separator([ug], [uk])
-            levels[dg - 1] = complete_flag(f)
-            ordering = StandardOrdering(rank, cap, tuple(levels))
+            ordering = _assembled_ordering(
+                rank, cap, {dg: complete_flag(strict_separator([ug], [uk]))})
         else:
             _refuse_common_root(g, k)
             a, b = ratio.numerator, ratio.denominator

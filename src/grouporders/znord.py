@@ -149,7 +149,7 @@ def complete_flag(first_row) -> FlagOrdering:
     plus or minus that nonzero entry, so the flag is trusted.
     """
     given = tuple(first_row)
-    first = vector(given)
+    first = given if all(type(x) is Fraction for x in given) else vector(given)
     int_first = given if all(type(x) is int for x in given) else _int_row(first)[0]
     skip = max((i for i, x in enumerate(int_first) if x), default=None)
     if skip is None:
@@ -223,17 +223,20 @@ def gl_witness(a: IntegerAutomorphism) -> tuple[FlagOrdering, tuple[int, ...]]:
 
 
 def positive_ratio(u, v) -> Fraction | None:
-    """lambda > 0 with v = lambda * u, or None."""
-    ratio = None
+    """lambda > 0 with v = lambda * u, or None.
+
+    Each nonzero pair is compared with the first, q / p, by cross-multiplication;
+    the one ``Fraction`` built is the ratio returned.
+    """
+    p = q = 0
     for a, b in zip(u, v):
         if (a == 0) != (b == 0):
             return None
         if a != 0:
-            r = Fraction(b, a)
-            if r <= 0:
+            if p == 0:
+                if (a > 0) != (b > 0):
+                    return None
+                p, q = a, b
+            elif a * q != b * p:
                 return None
-            if ratio is None:
-                ratio = r
-            elif r != ratio:
-                return None
-    return ratio
+    return Fraction(q, p) if p != 0 else None

@@ -1,4 +1,5 @@
 import contextlib
+import functools
 import io
 import json
 import re
@@ -382,18 +383,23 @@ def test_ordering_json_needs_integer_fields_and_a_bounded_rank(capsys, spec):
     _one_line_error(code, err, "InputError")
 
 
-# pivot level 1, twist degree 3: the constraints read a word realizing the pivot
-DEEP_TWIST_JSON = json.dumps(separate(
-    parse_word("x1", 2), parse_word("x1^2 x2 x1^-1 x2 x1 x2^-1 x1^-1 x2^-1", 2)).to_json())
+@functools.lru_cache(maxsize=1)
+def _deep_twist_json():
+    """Pivot level 1, twist degree 3: the constraints read a word realizing the pivot.
+    Built on first use, so a failing separate fails the tests that read it, not the
+    module's collection."""
+    return json.dumps(separate(
+        parse_word("x1", 2), parse_word("x1^2 x2 x1^-1 x2 x1 x2^-1 x1^-1 x2^-1", 2)).to_json())
 
 
-@pytest.mark.parametrize("spec, message", [
-    (_with(TWISTED_JSON, psi=[[[1, 2], "1"]]), "InputError: psi does not annihilate"),
-    (_with(TWISTED_JSON, twist_degree=4), "DimensionMismatch: need 1 <= pivot level d"),
-    (_with(DEEP_TWIST_JSON, pivot_coords=[10 ** 12, 1]), "InputError: the word with"),
-])
-def test_twisted_json_off_its_constraints_exits_1(capsys, spec, message):
-    assert ordering_from_json(DEEP_TWIST_JSON).twist_degree == 3
+@pytest.mark.parametrize("base, fields, message", [
+    ("twisted", {"psi": [[[1, 2], "1"]]}, "InputError: psi does not annihilate"),
+    ("twisted", {"twist_degree": 4}, "DimensionMismatch: need 1 <= pivot level d"),
+    ("deep", {"pivot_coords": [10 ** 12, 1]}, "InputError: the word with"),
+], ids=["psi", "twist-degree", "deep-pivot"])
+def test_twisted_json_off_its_constraints_exits_1(capsys, base, fields, message):
+    assert ordering_from_json(_deep_twist_json()).twist_degree == 3
+    spec = _with(TWISTED_JSON if base == "twisted" else _deep_twist_json(), **fields)
     code, _, err = run(capsys, "free", "sign", "x1", "--ordering", spec)
     _one_line_error(code, err, message.split(":")[0])
     assert err.startswith(message)

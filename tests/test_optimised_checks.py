@@ -1,4 +1,4 @@
-"""The checks of exactlin, znord, klein, hall and series survive ``python -O``.
+"""The checks of exactlin, znord, stdord, klein, hall and series survive ``python -O``.
 
 Each case patches the helper a check relies on so that the check must fail,
 runs the call in a ``-O`` subprocess and expects the check's own error.
@@ -13,8 +13,7 @@ from pathlib import Path
 import grouporders
 
 CODE = textwrap.dedent("""
-    from fractions import Fraction
-    from grouporders import exactlin, hall, klein, znord
+    from grouporders import exactlin, hall, klein, stdord, znord
     from grouporders.errors import CertificateError, DimensionMismatch
     from grouporders.series import magnus
     from grouporders.words import parse_word
@@ -50,8 +49,7 @@ CODE = textwrap.dedent("""
           [(exactlin.Halfspace, "strict_for", lambda self, vs: False)])
     check("does not strictly separate",
           lambda: exactlin.strict_separator([(1, 0)], [(0, 1)]),
-          [(exactlin, "solve_inequalities",
-            lambda constraints, n: (Fraction(0), Fraction(0)))])
+          [(exactlin, "_integer_point", lambda constraints, n: ((0, 0), 1))])
 
     check("does not make every input positive",
           lambda: znord.realize_flag([(1, 0)]),
@@ -60,6 +58,11 @@ CODE = textwrap.dedent("""
           lambda: znord.gl_witness(IntegerAutomorphism(((1, 1), (0, 1)))),
           [(znord, "flag_sign", lambda flag, v: 1),
            (znord, "realize_flag", lambda vs: FlagOrdering.identity(2))])
+
+    check("level 1 flag has dimension 3, expected 2",
+          lambda: stdord.separate(parse_word("x1", 2), parse_word("x2", 2)),
+          [(stdord, "complete_flag", lambda row: FlagOrdering.identity(3))],
+          exc=DimensionMismatch)
 
     orderings = klein.k_enumerate_orderings()
     check("share an outer class", klein.k_out_table,

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grouporders
-from grouporders import exactlin, hall, stdord, znord
+from grouporders import exactlin, hall, series, stdord, znord
 from grouporders.autact import common_power
 from grouporders.errors import (CommonRoot, DepthCapExceeded, DepthExceedsCap,
                                 DimensionMismatch, EmptyWord, GroupOrderError, InputError,
@@ -28,8 +28,8 @@ from grouporders.series import magnus, magnus_part
 from grouporders.stdord import (AxiomReport, StandardOrdering, TwistedOrdering, ball_distance,
                                 compare, identity_levels, identity_ordering,
                                 ordering_from_json, separate, verify_cone_axioms)
-from grouporders.words import (MAX_BALL_WORDS, ball_size, ball_words, commutator, generator,
-                               parse_word, word)
+from grouporders.words import (MAX_BALL_WORDS, Word, ball_size, ball_words, commutator,
+                               generator, parse_word, word)
 from grouporders.znord import flag_sign, opposite, positive_ratio
 
 LEX = identity_ordering(2, 5)
@@ -736,3 +736,103 @@ def test_twist_row_is_alpha_and_psi_over_one_positive_denominator():
         scale = scales.pop()
         assert scale > 0 and scale.denominator == 1
         assert o._int_alpha == o.alpha * scale
+
+
+def test_a_twisted_sign_at_its_twist_degree_expands_one_series(monkeypatch):
+    # at d < depth == j the part the coordinates were read from is the part psi reads;
+    # every named twist is on F_2, and cap 5 sees the deep words up to weight 5
+    words = list(ball_words(2, 4)) + _deep_words(2)[:-1]
+    depths = {w.letters: leading_coords(w, 5)[0] for w in words}
+    expansions = []
+    expand = series._expand
+
+    def counted(w, cap):
+        expansions.append(cap)
+        return expand(w, cap)
+
+    monkeypatch.setattr(series, "_expand", counted)
+    for o in _named_twists():
+        d, j = o.pivot_level, o.twist_degree
+        signed = 0
+        for w in words:
+            if d < depths[w.letters] == j:
+                expansions.clear()
+                o.sign(w)
+                assert len(expansions) == 1, (o.pivot_level, j, str(w))
+                signed += 1
+        assert signed > 0
+
+
+@st.composite
+def _standard_pairs(draw):
+    """Two words of F_2 or F_3, each of depth 1 or a commutator of depth 2 or 3."""
+    rank = draw(st.sampled_from((2, 3)))
+    letter = st.integers(-rank, rank).filter(lambda x: x != 0)
+    short = st.lists(letter, min_size=1, max_size=4).map(lambda ls: word(rank, ls)) \
+        .filter(lambda w: not w.is_identity())
+    deep = st.one_of(st.builds(commutator, short, short),
+                     st.builds(lambda a, b, c: commutator(commutator(a, b), c),
+                               short, short, short))
+    pick = st.one_of(short, deep)
+    return draw(pick), draw(pick)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_standard_pairs())
+def test_separate_assembles_what_the_checked_constructor_builds(pair):
+    # separate swaps its flags into identity_levels and checks only the swapped ones
+    g, k = pair
+    try:
+        o = separate(g, k)
+    except GroupOrderError:
+        return
+    if isinstance(o, TwistedOrdering):
+        return
+    checked = StandardOrdering(o.rank, o.cap,
+                               tuple(znord.FlagOrdering(f.rows) for f in o.levels))
+    assert o == checked and type(o.levels) is tuple
+    assert [f._int_rows for f in o.levels] == [f._int_rows for f in checked.levels]
+
+
+# separate's exception type for each pair given a class cap of True, 0 and 5.0 (with
+# identity_levels' cache empty, then holding (rank, 5)), words of rank True, 0 and 5.0,
+# and a second word one rank up.  Under a cap of 5.0, identity_levels meets a float
+# range unless its cache holds (rank, 5), which compares equal to (rank, 5.0)
+ODD_SEPARATE_INPUTS = {
+    ("x1", "x2"): ("InputError", "InputError", ("TypeError", "InputError"),
+                   "ParseError", "EmptyWord", "TypeError", "DimensionMismatch"),
+    ("x1", "x1 x2 x1^-1 x2^-1"): ("DepthCapExceeded", "InputError", ("TypeError",) * 2,
+                                  "ParseError", "EmptyWord", "TypeError",
+                                  "DimensionMismatch"),
+    ("x1 x2", "x2 x1"): ("DepthCapExceeded", "InputError", ("TypeError",) * 2,
+                         "ParseError", "EmptyWord", "TypeError", "DimensionMismatch"),
+    ("x1", "x1^2"): ("CommonRoot", "InputError", ("TypeError", "CommonRoot"),
+                     "InputError", "EmptyWord", "TypeError", "DimensionMismatch"),
+}
+
+
+@pytest.mark.parametrize("cached", [False, True])
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("pair", list(ODD_SEPARATE_INPUTS))
+def test_separate_refuses_odd_caps_and_ranks_by_type(pair, rank, cached):
+    def outcome(call):
+        try:
+            return type(call()).__name__
+        except Exception as exc:
+            return type(exc).__name__
+
+    def at_rank(r, text):
+        return Word(r, parse_word(text, rank).letters) if r else Word(0, ())
+
+    identity_levels.cache_clear()
+    if cached:
+        identity_levels(rank, 5)
+    g, k = (parse_word(text, rank) for text in pair)
+    cap_true, cap_zero, cap_float, *expected = ODD_SEPARATE_INPUTS[pair]
+    got = [outcome(lambda: separate(g, k, True)), outcome(lambda: separate(g, k, 0)),
+           outcome(lambda: separate(g, k, 5.0))]
+    assert got == [cap_true, cap_zero, cap_float[cached]]
+    got = [outcome(lambda: separate(at_rank(r, pair[0]), at_rank(r, pair[1])))
+           for r in (True, 0, 5.0)]
+    got.append(outcome(lambda: separate(g, parse_word(pair[1], rank + 1))))
+    assert got == expected

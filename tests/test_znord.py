@@ -339,6 +339,7 @@ def test_flag_sign_dimension_mismatch():
 AUTOMORPHISM_DIGEST = "d832d451e8badb1a4a7a707fbf8588361f065d32ad23bf52c6dd0846301de4fc"
 GL_WITNESS_DIGEST = "ce2a698fdd7f2c6a1ca8fd7440633d06ada4ea47429dfa540a0c0cfe3c2dfd53"
 FLAG_DIGEST = "81c050a482e23cc0625352573c4336ae5c8cda058f22747408053ed8ca5a21fb"
+ROW_OPERATION_DIGEST = "11a0df04a8f45ea7c0653c0a71b37ea4cf8521f58206343a24ef9835a872773f"
 
 
 def _pinned(f, *args) -> str:
@@ -406,3 +407,70 @@ def test_flag_checks_on_seeded_rational_matrices_are_pinned():
         rows = _seeded_flag_rows(rng)
         lines.append(f"{rows} {_pinned(lambda: (f := FlagOrdering(rows)).rows + f._int_rows)}")
     assert _digest(lines) == FLAG_DIGEST
+
+
+def _row_operation_matrix(rng: random.Random) -> tuple:
+    """A product of up to 6 row operations on the identity of dimension 4 or 5: half
+    the time only adding a multiple of a row to a later one, a lower unitriangular
+    matrix, whose witness comes from the constructed flag's scan."""
+    n = rng.choice((4, 5))
+    lower = rng.random() < 0.5
+    rows = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(rng.randint(1, 6)):
+        k, i = sorted(rng.sample(range(n), 2))
+        if not lower and rng.random() < 0.5:
+            i, k = k, i
+        kind = "add" if lower else rng.choice(("add", "add", "swap", "negate"))
+        if kind == "add":
+            c = rng.choice((-2, -1, 1, 2))
+            rows[i] = [a + c * b for a, b in zip(rows[i], rows[k])]
+        elif kind == "swap":
+            rows[i], rows[k] = rows[k], rows[i]
+        else:
+            rows[i] = [-a for a in rows[i]]
+    return tuple(map(tuple, rows))
+
+
+def test_gl_witnesses_of_row_operation_matrices_are_pinned():
+    # gl_witness calls positive_ratio on every vector its constructed-flag scan visits
+    rng = random.Random(29)
+    lines = []
+    for _ in range(600):
+        m = _row_operation_matrix(rng)
+        lines.append(f"{m} {_pinned(lambda: gl_witness(IntegerAutomorphism(m)))}")
+    assert _digest(lines) == ROW_OPERATION_DIGEST
+
+
+def _fraction_positive_ratio(u, v):
+    """positive_ratio as a loop over Fraction ratios: the reference for its
+    cross-multiplied form."""
+    ratio = None
+    for a, b in zip(u, v):
+        if (a == 0) != (b == 0):
+            return None
+        if a != 0:
+            r = Fraction(b, a)
+            if r <= 0:
+                return None
+            if ratio is None:
+                ratio = r
+            elif r != ratio:
+                return None
+    return ratio
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_positive_ratio_matches_the_fraction_loop(data):
+    n = data.draw(st.integers(1, 5))
+    entry = st.one_of(st.integers(-4, 4), st.fractions(-3, 3, max_denominator=4))
+    entries = st.lists(entry, min_size=n, max_size=n)
+    u = data.draw(entries)
+    scale = data.draw(st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4)))
+    multiple = [scale * a for a in u]
+    changed = data.draw(st.integers(0, n - 1))
+    nearly = multiple[:changed] + [data.draw(entry)] + multiple[changed + 1:]
+    v = data.draw(st.sampled_from((multiple, nearly, data.draw(entries))))
+    ratio = positive_ratio(u, v)
+    assert ratio == _fraction_positive_ratio(u, v)
+    assert ratio is None or type(ratio) is Fraction
